@@ -56,12 +56,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker threads for the parallel file walk (default: CPU count)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list the rule ids and what they enforce, then exit",
@@ -88,23 +82,20 @@ def run_lint_command(args: argparse.Namespace) -> int:
         print(f"repro lint: error: no such file or directory: {names}",
               file=sys.stderr)
         return 2
-    if args.jobs is not None and args.jobs < 1:
-        print("repro lint: error: --jobs must be >= 1", file=sys.stderr)
-        return 2
 
     baseline = args.baseline
     if baseline is None and Path(_DEFAULT_BASELINE).is_file():
         baseline = Path(_DEFAULT_BASELINE)
 
     if args.write_baseline:
-        report = run_lint(paths, baseline_path=None, jobs=args.jobs)
+        report = run_lint(paths, baseline_path=None)
         target = args.baseline or Path(_DEFAULT_BASELINE)
         count = write_baseline(target, report.findings)
         print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
               f"to {target}")
         return 0
 
-    report = run_lint(paths, baseline_path=baseline, jobs=args.jobs)
+    report = run_lint(paths, baseline_path=baseline)
     for finding in report.findings:
         print(format_finding(finding, args.output_format))
     summary = (

@@ -1,17 +1,15 @@
-"""The lint engine: file discovery, parallel checking, suppression.
+"""The lint engine: file discovery, checking, suppression.
 
 ``run_lint`` walks the given files/directories, parses every ``*.py`` file,
-runs all rules (files are checked in parallel — each file is independent),
-filters ``# repro: noqa[...]`` suppressions, and applies an optional
-baseline.  Unparseable files surface as ``REPRO-E001`` findings rather than
-crashing the gate: a syntax error in checked code is itself a finding.
+runs all rules, filters ``# repro: noqa[...]`` suppressions, and applies an
+optional baseline.  Unparseable files surface as ``REPRO-E001`` findings
+rather than crashing the gate: a syntax error in checked code is itself a
+finding.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,28 +110,23 @@ def _check_file(path: Path, root: Path | None) -> tuple[list[LintFinding], int]:
 def run_lint(
     paths: list[Path],
     baseline_path: Path | None = None,
-    jobs: int | None = None,
     root: Path | None = None,
 ) -> LintReport:
     """Lint every Python file under ``paths``.
 
     ``baseline_path`` (when given and existing) absorbs grandfathered
-    findings; ``jobs`` caps the worker threads (default: CPU count).
+    findings.  Files are checked serially: parsing holds the GIL, so
+    threads buy nothing, and ``ast.parse`` is not thread-safe on every
+    supported interpreter.
     """
     files = iter_python_files(paths)
     report = LintReport(files_checked=len(files))
     if not files:
         return report
 
-    workers = jobs or min(32, os.cpu_count() or 1)
-    if workers <= 1 or len(files) == 1:
-        results = [_check_file(path, root) for path in files]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _check_file(p, root), files))
-
     findings: list[LintFinding] = []
-    for file_findings, suppressed in results:
+    for path in files:
+        file_findings, suppressed = _check_file(path, root)
         findings.extend(file_findings)
         report.suppressed += suppressed
     findings.sort()
