@@ -266,10 +266,11 @@ class EstimationService:
     ) -> WorkloadEstimate:
         """Batch-estimate a workload, reusing cached feature rows per plan.
 
-        Same grouping, matrices and model evaluation as
-        :meth:`ResourceEstimator.estimate_workload`, so the results are
-        identical — the service only skips re-extracting features for plans
-        it has served before.  With guardrails on, the returned estimate
+        Runs the one batched path of
+        :meth:`ResourceEstimator.estimate_workload`
+        (:meth:`~ResourceEstimator.estimate_extracted_workload`), so the
+        results are identical — the service only skips re-extracting
+        features for plans it has served before.  With guardrails on, the returned estimate
         carries a degradation report; in ``on_invalid="reject"`` mode a
         workload with non-finite features raises
         :class:`~repro.robustness.validation.PlanValidationError` instead of

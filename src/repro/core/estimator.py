@@ -4,14 +4,18 @@ A trained :class:`ResourceEstimator` maps an annotated query plan to
 estimates of its CPU time and logical I/O at three granularities: per
 operator, per pipeline and per query.
 
-Estimation is batched end to end: :meth:`ResourceEstimator.estimate_workload`
-extracts features for every plan, groups operator rows by
-``(family, resource)`` into contiguous float64 matrices, runs one vectorised
-model-selection + MART evaluation per group, and scatters the results back to
-per-operator/per-pipeline/per-query granularities.  The per-plan and
-per-operator methods are thin wrappers over the same family-batch internals,
-so scalar/batch parity holds by construction — and the batched path makes the
-paper's observation that prediction overhead is negligible next to query
+Estimation has one batched path.  :meth:`ResourceEstimator.estimate_workload`
+extracts each plan's features and hands them to
+:meth:`ResourceEstimator.estimate_extracted_workload`, which the serving
+layer also feeds from its per-plan feature cache.  That method groups
+operator rows by ``(family, resource)`` into contiguous float64 matrices,
+runs one vectorised model-selection + MART evaluation per group, and
+scatters each prediction vector into a columnar :class:`WorkloadEstimate`:
+one float64 column per resource, plan after plan, each plan's operators in
+pre-order.  Pipeline and query estimates are views over those columns, and
+the per-plan methods are one-line wrappers over the batch, so scalar/batch
+parity holds by construction — and the batched path makes the paper's
+observation that prediction overhead is negligible next to query
 optimisation (Section 7.3) hold for whole workloads, not just single calls.
 """
 
@@ -20,7 +24,7 @@ optimisation (Section 7.3) hold for whole workloads, not just single calls.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -101,14 +105,26 @@ class _FallbackModel:
 
 @dataclass
 class WorkloadEstimate:
-    """Batched resource estimates for a list of plans, at all granularities."""
+    """Batched resource estimates for a list of plans, stored as columns.
+
+    Plans are laid out one after another, each as its operators in
+    ``plan.operators()`` pre-order: rows ``offsets[i]:offsets[i + 1]`` of
+    ``node_ids`` and of every ``values`` column belong to ``plans[i]``.
+    Pipeline, plan and query estimates are views over the columns.  Query
+    totals reduce each plan's segment on its own, in a fixed order, so a
+    plan's numbers never depend on which other plans shared its batch.
+    """
 
     plans: list[QueryPlan]
     resources: tuple[str, ...]
-    #: resource -> one ``{node_id: estimate}`` dictionary per plan.
-    operator_estimates: dict[str, list[dict[int, float]]]
-    #: Which fallback tier served each (plan, resource); ``None`` only when
-    #: the estimate was produced with ``guardrails=False``.
+    #: Operator node ids (int64), plan by plan, each plan in pre-order.
+    node_ids: np.ndarray
+    #: Row offsets (int64, ``n_plans + 1`` entries) of each plan's segment.
+    offsets: np.ndarray
+    #: resource -> one float64 estimate per row of ``node_ids``.
+    values: dict[str, np.ndarray]
+    #: Which fallback tier served each degraded (operator, resource);
+    #: ``None`` only when the estimate was produced with ``guardrails=False``.
     degradation: DegradationReport | None = None
 
     @property
@@ -116,8 +132,14 @@ class WorkloadEstimate:
         return len(self.plans)
 
     def operators(self, plan_index: int, resource: str) -> dict[int, float]:
-        """Per-operator estimates of one plan, keyed by operator node id."""
-        return self._per_plan(resource)[plan_index]
+        """Per-operator estimates of one plan, keyed by node id in pre-order."""
+        start, stop = self.offsets[plan_index], self.offsets[plan_index + 1]
+        return dict(
+            zip(
+                self.node_ids[start:stop].tolist(),
+                self._column(resource)[start:stop].tolist(),
+            )
+        )
 
     def pipelines(self, plan_index: int, resource: str) -> dict[int, float]:
         """Per-pipeline estimates of one plan (the Section 5.2 granularity)."""
@@ -131,18 +153,50 @@ class WorkloadEstimate:
 
     def query(self, plan_index: int, resource: str) -> float:
         """Query-level estimate of one plan (sum over its operators)."""
-        return float(sum(self.operators(plan_index, resource).values()))
+        return float(self.query_totals(resource)[plan_index])
 
     def query_totals(self, resource: str) -> np.ndarray:
         """Query-level estimates for every plan, in input order."""
-        per_plan = self._per_plan(resource)
-        return np.array(
-            [sum(estimates.values()) for estimates in per_plan], dtype=np.float64
+        return np.add.reduceat(self._column(resource), self.offsets[:-1])
+
+    def slice(
+        self, offset: int, n_plans: int, resources: Sequence[str]
+    ) -> "WorkloadEstimate":
+        """The estimate of plans ``offset:offset + n_plans`` for ``resources``.
+
+        Columns are views into this estimate, and degradation entries and
+        OOD flags are re-indexed to the slice's own plan numbering, so the
+        result equals a direct estimate of those plans.
+        """
+        stop = offset + n_plans
+        first, last = int(self.offsets[offset]), int(self.offsets[stop])
+        degradation = None
+        if self.degradation is not None:
+            degradation = DegradationReport(
+                entries=tuple(
+                    replace(entry, plan_index=entry.plan_index - offset)
+                    for entry in self.degradation.entries
+                    if offset <= entry.plan_index < stop
+                    and entry.resource in resources
+                ),
+                ood_plans={
+                    plan_index - offset: score
+                    for plan_index, score in self.degradation.ood_plans.items()
+                    if offset <= plan_index < stop
+                },
+            )
+        return WorkloadEstimate(
+            plans=self.plans[offset:stop],
+            resources=tuple(resources),
+            node_ids=self.node_ids[first:last],
+            offsets=self.offsets[offset : stop + 1] - first,
+            values={resource: self._column(resource)[first:last] for resource in resources},
+            degradation=degradation,
         )
 
-    def _per_plan(self, resource: str) -> list[dict[int, float]]:
+    def _column(self, resource: str) -> np.ndarray:
         try:
-            return self.operator_estimates[resource]
+            return self.values[resource]
         except KeyError:
             raise ValueError(
                 f"unknown resource {resource!r}; this estimate covers {self.resources}"
@@ -296,23 +350,13 @@ class ResourceEstimator:
     ) -> WorkloadEstimate:
         """Batch-estimate a whole workload of plans in one pass.
 
-        Features are extracted for every plan, operator rows are grouped by
-        family into contiguous matrices, and each ``(family, resource)``
-        group runs through one vectorised model-selection + MART evaluation.
+        Extracts every plan's features and runs them through
+        :meth:`estimate_extracted_workload`, the one batched path.
         """
         plans = list(plans)
-        family_rows = self._extractor.extract_plans(plans)
-        groups: dict[OperatorFamily, list[tuple[int, int]]] = {}
-        matrices: dict[OperatorFamily, np.ndarray] = {}
-        for family, rows in family_rows.items():
-            groups[family] = list(
-                zip(rows.plan_indices.tolist(), rows.node_ids.tolist())
-            )
-            matrices[family] = rows.matrix
-        return self._estimate_grouped(
+        return self.estimate_extracted_workload(
             plans,
-            groups,
-            matrices,
+            [self.extract_plan_features(plan) for plan in plans],
             resources,
             guardrails=guardrails,
             ood_threshold=ood_threshold,
@@ -330,102 +374,90 @@ class ResourceEstimator:
         """Batch-estimate plans whose features are already extracted.
 
         ``extracted[i]`` is the :meth:`extract_plan_features` result of
-        ``plans[i]``.  This is the shared tail of the batched path: the
-        serving layer feeds cached extraction results through it, so cached
-        and uncached estimates are identical by construction.
+        ``plans[i]``; its key order (plan pre-order) is the row order of the
+        plan's segment in the returned :class:`WorkloadEstimate`.  The
+        serving layer feeds cached extraction results through here, so
+        cached and uncached estimates are identical by construction.
 
         With ``guardrails`` on (the default), rows the MART models cannot
         serve — non-finite features, a raising model, non-finite or negative
         predictions — are re-estimated down the fallback ladder
         (:class:`~repro.robustness.degradation.DegradationTier`), and the
         returned estimate carries a
-        :class:`~repro.robustness.degradation.DegradationReport`.  On clean
-        inputs the guarded path returns bit-identical numbers to
-        ``guardrails=False``.  ``ood_threshold`` additionally flags plans
-        whose features lie outside the training envelopes by more than that
-        many training-ranges.
+        :class:`~repro.robustness.degradation.DegradationReport` whose
+        entries are ordered by plan, operator position and resource (in
+        :attr:`resources` order).  On clean inputs the guarded path returns
+        bit-identical numbers to ``guardrails=False``.  ``ood_threshold``
+        additionally flags plans whose features lie outside the training
+        envelopes by more than that many training-ranges.
         """
         plans = list(plans)
-        groups: dict[OperatorFamily, list[tuple[int, int]]] = {}
-        rows_by_family: dict[OperatorFamily, list[dict[str, float]]] = {}
-        for plan_index, plan_features in enumerate(extracted):
-            for node_id, op_features in plan_features.items():
-                groups.setdefault(op_features.family, []).append((plan_index, node_id))
-                rows_by_family.setdefault(op_features.family, []).append(
-                    op_features.values
-                )
-        matrices = {
-            family: _family_matrix(family, rows)
-            for family, rows in rows_by_family.items()
-        }
-        return self._estimate_grouped(
-            plans,
-            groups,
-            matrices,
-            resources,
-            guardrails=guardrails,
-            ood_threshold=ood_threshold,
-        )
-
-    def _estimate_grouped(
-        self,
-        plans: list[QueryPlan],
-        groups: dict[OperatorFamily, list[tuple[int, int]]],
-        matrices: dict[OperatorFamily, np.ndarray],
-        resources: Sequence[str] | None,
-        *,
-        guardrails: bool,
-        ood_threshold: float | None,
-    ) -> WorkloadEstimate:
-        """Shared tail of the batched path: model evaluation over grouped rows.
-
-        ``groups[family][i]`` is the ``(plan_index, node_id)`` source of row
-        ``i`` of ``matrices[family]``.  Both batched entry points (fresh
-        extraction and the serving layer's cached extraction) land here, so
-        their numbers are identical by construction.
-        """
         resources = tuple(resources) if resources is not None else self.resources
         for resource in resources:
             self._check_resource(resource)
 
-        operator_estimates: dict[str, list[dict[int, float]]] = {
-            resource: [{} for _ in plans] for resource in resources
+        node_ids: list[int] = []
+        offsets = [0]
+        positions: dict[OperatorFamily, list[int]] = {}
+        rows_by_family: dict[OperatorFamily, list[dict[str, float]]] = {}
+        for plan_features in extracted:
+            for node_id, op_features in plan_features.items():
+                positions.setdefault(op_features.family, []).append(len(node_ids))
+                rows_by_family.setdefault(op_features.family, []).append(
+                    op_features.values
+                )
+                node_ids.append(node_id)
+            offsets.append(len(node_ids))
+        rows_of = {
+            family: np.asarray(rows, dtype=np.int64) for family, rows in positions.items()
         }
-        entries: list[DegradedOperator] = []
+        matrices = {
+            family: _family_matrix(family, rows)
+            for family, rows in rows_by_family.items()
+        }
+        offset_array = np.asarray(offsets, dtype=np.int64)
+        plan_of_row = np.repeat(np.arange(len(plans), dtype=np.int64), np.diff(offset_array))
+
+        values: dict[str, np.ndarray] = {}
+        degraded: list[tuple[int, int, DegradedOperator]] = []
         for resource in resources:
-            per_plan = operator_estimates[resource]
-            for family, rows in groups.items():
+            column = np.empty(len(node_ids), dtype=np.float64)
+            for family, rows in rows_of.items():
                 if guardrails:
                     predictions, tiers, reasons = self._predict_family_rows_guarded(
                         family, matrices[family], resource
                     )
                     for row_index, reason in reasons.items():
-                        plan_index, node_id = rows[row_index]
-                        entries.append(
-                            DegradedOperator(
-                                plan_index=plan_index,
-                                node_id=node_id,
-                                resource=resource,
-                                tier=DegradationTier(int(tiers[row_index])),
-                                reason=reason,
-                            )
+                        row = int(rows[row_index])
+                        entry = DegradedOperator(
+                            plan_index=int(plan_of_row[row]),
+                            node_id=node_ids[row],
+                            resource=resource,
+                            tier=DegradationTier(int(tiers[row_index])),
+                            reason=reason,
                         )
+                        degraded.append((row, self.resources.index(resource), entry))
                 else:
                     predictions = self._predict_family_rows(
                         family, matrices[family], resource
                     )
-                for (plan_index, node_id), value in zip(rows, predictions):
-                    per_plan[plan_index][node_id] = float(value)
+                column[rows] = predictions
+            values[resource] = column
         degradation = None
         if guardrails:
+            degraded.sort(key=lambda item: item[:2])
             degradation = DegradationReport(
-                entries=tuple(entries),
-                ood_plans=self._flag_ood_plans(groups, matrices, ood_threshold),
+                entries=tuple(entry for _, _, entry in degraded),
+                ood_plans=self._flag_ood_plans(
+                    rows_of, matrices, plan_of_row, len(plans), ood_threshold
+                ),
             )
         return WorkloadEstimate(
             plans=plans,
             resources=resources,
-            operator_estimates=operator_estimates,
+            node_ids=np.asarray(node_ids, dtype=np.int64),
+            offsets=offset_array,
+            values=values,
             degradation=degradation,
         )
 
@@ -453,7 +485,7 @@ class ResourceEstimator:
 
         Public so serving layers (e.g. the
         :class:`~repro.api.EstimationService`) can cache extraction results
-        per plan and feed them back through :meth:`estimate_feature_rows`.
+        per plan and feed them back through :meth:`estimate_extracted_workload`.
         """
         return self._extractor.extract_plan(plan)
 
@@ -466,37 +498,25 @@ class ResourceEstimator:
     ) -> float:
         """Estimate one operator instance."""
         features = self._extractor.extract_operator(operator, parent)
-        return self._estimate_features(features.family, features.values, resource)
+        return float(
+            self.estimate_feature_rows(features.family, [features.values], resource)[0]
+        )
 
     def estimate_plan(self, plan: QueryPlan, resource: str = "cpu") -> float:
         """Estimate the total resource usage of a plan (sum over operators)."""
-        per_operator = self.estimate_operators(plan, resource)
-        return float(sum(per_operator.values()))
+        return self.estimate_workload([plan], (resource,)).query(0, resource)
 
     def estimate_operators(self, plan: QueryPlan, resource: str = "cpu") -> dict[int, float]:
         """Per-operator estimates for a plan, keyed by operator node id."""
-        features = self._extractor.extract_plan(plan)
-        estimates: dict[int, float] = {}
-        for op in plan.operators():
-            op_features = features[op.node_id]
-            estimates[op.node_id] = self._estimate_features(
-                op_features.family, op_features.values, resource
-            )
-        return estimates
+        return self.estimate_workload([plan], (resource,)).operators(0, resource)
 
     def estimate_pipelines(self, plan: QueryPlan, resource: str = "cpu") -> dict[int, float]:
         """Per-pipeline estimates (the scheduling granularity of Section 5.2)."""
-        per_operator = self.estimate_operators(plan, resource)
-        totals: dict[int, float] = {}
-        for pipeline in plan.pipelines():
-            totals[pipeline.index] = float(
-                sum(per_operator[op.node_id] for op in pipeline.operators)
-            )
-        return totals
+        return self.estimate_workload([plan], (resource,)).pipelines(0, resource)
 
     def estimate_query(self, plan: QueryPlan, resource: str = "cpu") -> float:
         """Alias of :meth:`estimate_plan` (query-level granularity)."""
-        return self.estimate_plan(plan, resource)
+        return self.estimate_workload([plan], (resource,)).query(0, resource)
 
     # -- internals --------------------------------------------------------------------------------------
     def _predict_family_rows(
@@ -672,31 +692,24 @@ class ResourceEstimator:
 
     def _flag_ood_plans(
         self,
-        groups: dict[OperatorFamily, list[tuple[int, int]]],
+        rows_of: dict[OperatorFamily, np.ndarray],
         matrices: dict[OperatorFamily, np.ndarray],
+        plan_of_row: np.ndarray,
+        n_plans: int,
         ood_threshold: float | None,
     ) -> dict[int, float]:
         """Plans whose features leave the training envelopes, with scores."""
-        ood_plans: dict[int, float] = {}
         if ood_threshold is None:
-            return ood_plans
-        for family, rows in groups.items():
+            return {}
+        worst = np.zeros(n_plans, dtype=np.float64)
+        for family, rows in rows_of.items():
             envelope = self.envelopes.get(family)
             if envelope is None:
                 continue
             scores = envelope.out_scores(matrices[family])
-            flagged = np.flatnonzero(np.isfinite(scores) & (scores > float(ood_threshold)))
-            for row_index in flagged:
-                plan_index = rows[int(row_index)][0]
-                score = float(scores[row_index])
-                if score > ood_plans.get(plan_index, 0.0):
-                    ood_plans[plan_index] = score
-        return ood_plans
-
-    def _estimate_features(
-        self, family: OperatorFamily, feature_values: dict[str, float], resource: str
-    ) -> float:
-        return float(self.estimate_feature_rows(family, [feature_values], resource)[0])
+            flagged = np.isfinite(scores) & (scores > float(ood_threshold))
+            np.maximum.at(worst, plan_of_row[rows[flagged]], scores[flagged])
+        return {int(plan): float(worst[plan]) for plan in np.flatnonzero(worst > 0.0)}
 
     def _check_resource(self, resource: str) -> None:
         if resource not in self.resources:

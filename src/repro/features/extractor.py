@@ -12,7 +12,6 @@ are known exactly a priori in both modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from repro.features.definitions import (
 from repro.plan.operators import OperatorType, PlanOperator
 from repro.plan.plan import QueryPlan
 
-__all__ = ["OperatorFeatures", "FamilyRows", "FeatureExtractor"]
+__all__ = ["OperatorFeatures", "FeatureExtractor"]
 
 #: Stable integer encoding of the categorical OUTPUTUSAGE feature.
 _OPERATOR_TYPE_CODES: dict[OperatorType, int] = {
@@ -49,21 +48,6 @@ class OperatorFeatures:
         return self.values.get(name, default)
 
 
-@dataclass(frozen=True)
-class FamilyRows:
-    """All operator rows of one family across a batch of plans.
-
-    ``matrix`` holds one row per operator instance in the family's canonical
-    feature order; ``plan_indices`` / ``node_ids`` map row ``i`` back to
-    operator ``node_ids[i]`` of ``plans[plan_indices[i]]``.
-    """
-
-    family: OperatorFamily
-    plan_indices: np.ndarray
-    node_ids: np.ndarray
-    matrix: np.ndarray
-
-
 class FeatureExtractor:
     """Computes per-operator feature vectors from an annotated plan."""
 
@@ -72,7 +56,11 @@ class FeatureExtractor:
 
     # -- public API ------------------------------------------------------------------------
     def extract_plan(self, plan: QueryPlan) -> dict[int, OperatorFeatures]:
-        """Feature vectors for every operator of ``plan``, keyed by node id."""
+        """Feature vectors for every operator of ``plan``, keyed by node id.
+
+        Keys follow ``plan.operators()`` pre-order, the row order of the
+        plan in a :class:`~repro.core.estimator.WorkloadEstimate`.
+        """
         parents: dict[int, PlanOperator | None] = {plan.root.node_id: None}
         for op in plan.operators():
             for child in op.children:
@@ -81,41 +69,6 @@ class FeatureExtractor:
             op.node_id: self.extract_operator(op, parents.get(op.node_id))
             for op in plan.operators()
         }
-
-    def extract_plans(self, plans: Sequence[QueryPlan]) -> dict[OperatorFamily, FamilyRows]:
-        """Batched extraction: one (rows x features) matrix per family.
-
-        Feature values are computed once per operator and written straight
-        into a preallocated matrix — no per-plan feature dict is retained.
-        Rows appear in plan order, then operator (pre-order) within the
-        plan, matching the grouping of
-        :meth:`~repro.core.estimator.ResourceEstimator.estimate_extracted_workload`
-        exactly, so the two paths produce identical estimates.
-        """
-        buckets: dict[OperatorFamily, list[tuple[int, int, dict[str, float]]]] = {}
-        for plan_index, plan in enumerate(plans):
-            parents: dict[int, PlanOperator | None] = {plan.root.node_id: None}
-            for op in plan.operators():
-                for child in op.children:
-                    parents[child.node_id] = op
-            for op in plan.operators():
-                features = self.extract_operator(op, parents.get(op.node_id))
-                buckets.setdefault(features.family, []).append(
-                    (plan_index, op.node_id, features.values)
-                )
-        out: dict[OperatorFamily, FamilyRows] = {}
-        for family, rows in buckets.items():
-            names = features_for_family(family)
-            matrix = np.empty((len(rows), len(names)), dtype=np.float64)
-            for i, (_, _, values) in enumerate(rows):
-                matrix[i] = [values.get(name, 0.0) for name in names]
-            out[family] = FamilyRows(
-                family=family,
-                plan_indices=np.asarray([row[0] for row in rows], dtype=np.int64),
-                node_ids=np.asarray([row[1] for row in rows], dtype=np.int64),
-                matrix=matrix,
-            )
-        return out
 
     def extract_operator(
         self, op: PlanOperator, parent: PlanOperator | None = None

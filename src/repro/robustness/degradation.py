@@ -67,6 +67,9 @@ class DegradationReport:
     exceeded the caller's threshold.
     """
 
+    #: Ordered by plan, then operator pre-order position, then resource in
+    #: the estimator's resource order — so a coalesced slice's report equals
+    #: a direct estimate's report entry for entry.
     entries: tuple[DegradedOperator, ...] = ()
     ood_plans: Mapping[int, float] = field(default_factory=dict)
 

@@ -76,8 +76,8 @@ class TestResourceEstimator:
 
     def test_fallback_for_unseen_family(self, trained_estimator):
         """Families absent from training still produce finite estimates."""
-        estimate = trained_estimator._estimate_features(
-            OperatorFamily.MERGE_JOIN, {"COUT": 1000.0, "CIN1": 1000.0}, "cpu"
+        (estimate,) = trained_estimator.estimate_feature_rows(
+            OperatorFamily.MERGE_JOIN, [{"COUT": 1000.0, "CIN1": 1000.0}], "cpu"
         )
         assert np.isfinite(estimate) and estimate >= 0.0
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import EstimationService
+from repro.core.estimator import _family_matrix
 from repro.core.serialization import (
     estimator_from_bytes,
     estimator_to_bytes,
@@ -58,13 +59,21 @@ def rng_matrix():
     return features, targets
 
 
+def _per_operator(estimate, resource):
+    return [estimate.operators(i, resource) for i in range(estimate.n_plans)]
+
+
 class TestWorkloadParity:
     """Flat kernel == node walk on every trained model over real plans."""
 
     def _family_matrices(self, estimator, plans):
+        rows_by_family = {}
+        for plan in plans:
+            for features in estimator.extract_plan_features(plan).values():
+                rows_by_family.setdefault(features.family, []).append(features.values)
         return {
-            family: rows.matrix
-            for family, rows in estimator._extractor.extract_plans(plans).items()
+            family: _family_matrix(family, rows)
+            for family, rows in rows_by_family.items()
         }
 
     @pytest.mark.parametrize("resource", ["cpu", "io"])
@@ -91,7 +100,7 @@ class TestWorkloadParity:
         monkeypatch.setattr(MARTRegressor, "predict", MARTRegressor.predict_per_tree)
         walked = trained_estimator.estimate_workload(tpch_test_plans, (resource,))
         assert np.array_equal(flat.query_totals(resource), walked.query_totals(resource))
-        assert flat.operator_estimates[resource] == walked.operator_estimates[resource]
+        assert _per_operator(flat, resource) == _per_operator(walked, resource)
 
     @pytest.mark.parametrize("resource", ["cpu", "io"])
     def test_full_stack_parity_tpcds(
@@ -102,7 +111,7 @@ class TestWorkloadParity:
         monkeypatch.setattr(MARTRegressor, "predict", MARTRegressor.predict_per_tree)
         walked = trained_estimator.estimate_workload(tpcds_plans, (resource,))
         assert np.array_equal(flat.query_totals(resource), walked.query_totals(resource))
-        assert flat.operator_estimates[resource] == walked.operator_estimates[resource]
+        assert _per_operator(flat, resource) == _per_operator(walked, resource)
 
 
 class TestEdgeCaseParity:

@@ -3,10 +3,10 @@
 The suite's shared estimator is trained from a fixed seed, so its estimates
 are reproducible to the bit.  These tests pin a sha256 digest of the
 per-operator float64 estimates (cpu and io, plan pre-order) for a handful of
-TPC-H and TPC-DS plans, and the L1 relative error band of each technique on
-the in-distribution (TPC-H) and cross-workload (TPC-DS) test sets.  A change
-to any estimate therefore shows up here as a deliberate golden update, not
-as a silent drift.
+TPC-H and TPC-DS plans, a digest of their query totals, and the L1 relative
+error band of each technique on the in-distribution (TPC-H) and
+cross-workload (TPC-DS) test sets.  A change to any estimate therefore shows
+up here as a deliberate golden update, not as a silent drift.
 
 The accuracy assertions mirror the paper's qualitative claims that the
 opt-in table benchmarks check (Tables 4, 6 and 10), on this small corpus.
@@ -30,6 +30,11 @@ RESOURCES = ("cpu", "io")
 #: sha256 over every plan's per-operator estimates, plan by plan, cpu then
 #: io, each as little-endian float64 in plan pre-order.
 OPERATOR_DIGEST = "539632b1a2a06ac81a6355f3a45e20b6d3ecf72b0935c911e522bfd44b84d4fa"
+
+#: sha256 over ``query_totals`` of the same plans, cpu then io, each as
+#: little-endian float64: one ``np.add.reduceat`` over each plan's
+#: pre-order segment.
+TOTALS_DIGEST = "df139d48a943ddd02f58ec8286bb0e272d381bb46b38fe698ae936f3fd016010"
 
 #: (resource, test set) -> technique -> (L1 low, L1 high).  Each band is the
 #: pinned value +- 0.02: wide enough for last-ulp summation changes, narrow
@@ -100,6 +105,13 @@ class TestGoldenEstimates:
     def test_per_operator_digest(self, trained_estimator, golden_plans):
         estimate = trained_estimator.estimate_workload(golden_plans, RESOURCES)
         assert _operator_digest(estimate, golden_plans) == OPERATOR_DIGEST
+
+    def test_query_totals_digest(self, trained_estimator, golden_plans):
+        estimate = trained_estimator.estimate_workload(golden_plans, RESOURCES)
+        digest = hashlib.sha256()
+        for resource in RESOURCES:
+            digest.update(estimate.query_totals(resource).astype("<f8").tobytes())
+        assert digest.hexdigest() == TOTALS_DIGEST
 
 
 class TestGoldenAccuracy:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import EstimationService
 from repro.api.service import ServiceStats
+from repro.features.definitions import operator_family
 from repro.robustness import FaultInjector, PlanValidationError
 from repro.serving import (
     ConcurrentEstimationService,
@@ -45,12 +46,12 @@ def scenarios(plans):
 
 
 def _assert_identical(direct, coalesced):
-    """Bitwise equality of two WorkloadEstimates, dict order included."""
+    """Bitwise equality of two WorkloadEstimates, operator order included."""
     assert coalesced.resources == direct.resources
     assert coalesced.n_plans == direct.n_plans
     for resource in direct.resources:
         for j in range(direct.n_plans):
-            d, c = direct.operator_estimates[resource][j], coalesced.operator_estimates[resource][j]
+            d, c = direct.operators(j, resource), coalesced.operators(j, resource)
             assert list(d.items()) == list(c.items())
         assert np.array_equal(
             direct.query_totals(resource), coalesced.query_totals(resource)
@@ -125,6 +126,38 @@ class TestCoalescedParity:
         report = poisoned.degradation
         assert report is not None and not report.clean
         assert all(entry.plan_index == 0 for entry in report.entries)
+
+    def test_degradation_entries_ordered_like_direct(self, trained_estimator, plans):
+        # Request A's first operator family is request B's second, and every
+        # operator of B has a non-finite feature.  A coalesced batch sees A's
+        # family first; B's report must still list its entries in the same
+        # order as a direct estimate of B, not in the batch's family order.
+        def families(plan):
+            return list(dict.fromkeys(operator_family(op.op_type) for op in plan.operators()))
+
+        first, second = next(
+            (a, b)
+            for a in plans
+            for b in plans
+            if len(families(b)) > 1 and families(a)[0] == families(b)[1]
+        )
+        service = EstimationService(trained_estimator)
+        poisoned = FaultInjector(seed=5).corrupt_features(
+            [trained_estimator.extract_plan_features(second)], rate=1.0
+        )
+        service._feature_cache[id(second)] = (second, poisoned[0])
+        direct = service.estimate_workload([second])
+        with ConcurrentEstimationService(
+            service, max_batch_size=2, max_wait_ms=1000.0
+        ) as server:
+            futures = [server.submit([first]), server.submit([second])]
+            coalesced = futures[1].result(timeout=30)
+            stats = server.coalescing_stats()
+        assert stats.batches == 1
+        assert direct.degradation.count > 0
+        assert coalesced.degradation.entries == direct.degradation.entries
+        assert coalesced.degradation == direct.degradation
+        _assert_identical(direct, coalesced)
 
 
 class TestLatencyBounds:
