@@ -8,7 +8,8 @@ normalised) and predictions are multiplied back up by the scaling factors.
 
 Every model records the training range (low/high) of each of its *own* input
 features — in its own transformed space — which is what the out_ratio model
-selection heuristic compares against at estimation time.
+selection heuristic (:mod:`repro.core.model_selection`, which compiles these
+ranges into stacked tables) compares against at estimation time.
 
 Prediction is matrix-first: :meth:`CombinedModel.predict_batch` evaluates a
 contiguous ``(n, len(feature_names))`` float64 matrix through a single
@@ -31,7 +32,7 @@ from repro.features.dependencies import dependent_features
 from repro.ml.mart import MARTConfig, MARTRegressor
 from repro.ml.metrics import l1_relative_error
 
-__all__ = ["CombinedModel"]
+__all__ = ["CombinedModel", "StackedTransform"]
 
 
 @dataclass
@@ -56,6 +57,7 @@ class CombinedModel:
         self._input_columns: list[int] = [
             self._column_index[name] for name in self.input_features_
         ]
+        self._transform = StackedTransform([self])
         self.training_low_: dict[str, float] = {}
         self.training_high_: dict[str, float] = {}
         self.training_error_: float = float("inf")
@@ -103,26 +105,7 @@ class CombinedModel:
         columns removed — and returns the ``(n, len(input_features_))``
         matrix the scaled MART model consumes.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if not self.steps:
-            return matrix[:, self._input_columns]
-        work = matrix.copy()
-        removed: set[str] = set()
-        for step in self.steps:
-            column = self._column_index.get(step.feature)
-            if column is None:
-                raw = np.zeros(work.shape[0], dtype=np.float64)
-            elif step.feature in removed:
-                raw = matrix[:, column]
-            else:
-                raw = work[:, column]
-            divisor = np.maximum(np.abs(raw), MIN_DIVISOR)
-            for dependent in dependent_features(step.feature):
-                dep_column = self._column_index.get(dependent)
-                if dep_column is not None and dependent not in removed:
-                    work[:, dep_column] /= divisor
-            removed.add(step.feature)
-        return work[:, self._input_columns]
+        return self._transform(np.asarray(matrix, dtype=np.float64))[:, 0, :]
 
     def _step_factors(self, matrix: np.ndarray, floor: float) -> np.ndarray:
         """Per-row product of the scaling-function values over the raw matrix."""
@@ -153,14 +136,14 @@ class CombinedModel:
         # uses, so training stays numerically identical to the dict path.
         scaled_targets = targets / self._step_factors(raw, floor=MIN_DIVISOR)
         self.model_ = MARTRegressor(self.mart_config)
-        self.model_.fit(matrix, scaled_targets)
+        fitted = self.model_.fit_predict(matrix, scaled_targets)
         self.n_training_rows_ = len(feature_rows)
         self._record_ranges(matrix)
         self.scaled_target_low_ = float(scaled_targets.min())
         self.scaled_target_high_ = float(scaled_targets.max())
-        # Training error (used to pick the family's default model): predict in
-        # batch on the already-transformed matrix and scale back up.
-        predictions = np.maximum(self.model_.predict(matrix) * self.scale_factors(raw), 0.0)
+        # Training error (used to pick the family's default model): the
+        # in-sample predictions of the fit, scaled back up.
+        predictions = np.maximum(fitted * self.scale_factors(raw), 0.0)
         self.training_error_ = l1_relative_error(predictions, targets)
         return self
 
@@ -208,52 +191,59 @@ class CombinedModel:
         """
         return float(self.predict_batch(self.feature_matrix([feature_values]))[0])
 
-    # -- model selection support --------------------------------------------------------------------
-    def out_ratio_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-row, per-input-feature out-of-range ratios (in transformed space).
 
-        Each entry is the distance of the (transformed) feature value from the
-        model's training interval, normalised by the interval width; 0 means
-        the value was covered during training.  Features this model scales by
-        are not inputs of its scaled MART model, so they never contribute.
-        """
-        transformed = self.transform_matrix(np.asarray(matrix, dtype=np.float64))
-        n = transformed.shape[0]
-        if not self.input_features_:
-            return np.zeros((n, 0), dtype=np.float64)
-        known = np.array(
-            [name in self.training_low_ for name in self.input_features_], dtype=bool
-        )
-        lows = np.array(
-            [self.training_low_.get(name, 0.0) for name in self.input_features_],
-            dtype=np.float64,
-        )
-        highs = np.array(
-            [self.training_high_.get(name, 0.0) for name in self.input_features_],
-            dtype=np.float64,
-        )
-        widths = np.maximum(highs - lows, 1e-9)
-        ratios = (
-            np.maximum(lows - transformed, 0.0) + np.maximum(transformed - highs, 0.0)
-        ) / widths
-        ratios[:, ~known] = 0.0
-        return ratios
+class StackedTransform:
+    """The scaling transforms of several models, applied in one pass.
 
-    def out_ratio_profiles(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-row out_ratios sorted descending along axis 1 (for tie-breaking)."""
-        return np.sort(self.out_ratio_matrix(matrix), axis=1)[:, ::-1]
+    Compiled once by replaying each model's steps symbolically: per (model x
+    input slot) the raw column the slot reads; per (model x step) the raw
+    column of the step's feature (an all-zero pad column when the family
+    lacks it) and which earlier steps had divided that column when it is
+    read; per (model x step x slot) whether the step divides the slot.
+    Calling it gathers an ``(n, C, K)`` tensor and divides in step order —
+    by ``1.0`` where a step does not apply, which is exact — so each model's
+    slice equals its sequential transform bitwise.  Slots past a model's own
+    input count are padding.  All models share one raw feature order.
+    """
 
-    def out_ratio(self, feature_values: dict[str, float], feature: str) -> float:
-        """How far outside the training range ``feature`` falls for this model."""
-        if feature not in self.training_low_:
-            return 0.0
-        row = self.feature_matrix([feature_values])
-        return float(self.out_ratio_matrix(row)[0, self.input_features_.index(feature)])
+    def __init__(self, models: Sequence[CombinedModel]) -> None:
+        self.n_features = len(models[0].feature_names)
+        width = max(len(m.input_features_) for m in models)
+        n_steps = max(len(m.steps) for m in models)
+        self.slot_column = np.zeros((len(models), width), dtype=np.intp)
+        self.step_column = np.full((len(models), n_steps), self.n_features, dtype=np.intp)
+        self.step_reads = np.zeros((len(models), n_steps, n_steps), dtype=np.bool_)
+        self.divides = np.zeros((len(models), n_steps, width), dtype=np.bool_)
+        for c, model in enumerate(models):
+            divided_by: dict[int, list[int]] = {}
+            removed: set[str] = set()
+            for s, step in enumerate(model.steps):
+                column = model._column_index.get(step.feature)
+                if column is not None:
+                    self.step_column[c, s] = column
+                    if step.feature not in removed:
+                        self.step_reads[c, s, divided_by.get(column, [])] = True
+                for dependent in dependent_features(step.feature):
+                    dep_column = model._column_index.get(dependent)
+                    if dep_column is not None and dependent not in removed:
+                        divided_by.setdefault(dep_column, []).append(s)
+                removed.add(step.feature)
+            for k, column in enumerate(model._input_columns):
+                self.slot_column[c, k] = column
+                self.divides[c, divided_by.get(column, []), k] = True
 
-    def out_ratio_profile(self, feature_values: dict[str, float]) -> list[float]:
-        """All per-feature out_ratios, sorted descending (for tie-breaking)."""
-        return [float(v) for v in self.out_ratio_profiles(self.feature_matrix([feature_values]))[0]]
-
-    def max_out_ratio(self, feature_values: dict[str, float]) -> float:
-        profile = self.out_ratio_profile(feature_values)
-        return profile[0] if profile else 0.0
+    def __call__(self, matrix: np.ndarray) -> np.ndarray:
+        """``(n, C, K)`` scaled-model inputs of every model for a raw matrix."""
+        padded = np.zeros((matrix.shape[0], self.n_features + 1), dtype=np.float64)
+        padded[:, : self.n_features] = matrix
+        n_steps = self.step_column.shape[1]
+        divisors = np.empty((matrix.shape[0],) + self.step_column.shape, dtype=np.float64)
+        for s in range(n_steps):
+            raw = padded[:, self.step_column[:, s]]
+            for earlier in range(s):
+                raw = raw / np.where(self.step_reads[:, s, earlier], divisors[:, :, earlier], 1.0)
+            divisors[:, :, s] = np.maximum(np.abs(raw), MIN_DIVISOR)
+        transformed = padded[:, self.slot_column]
+        for s in range(n_steps):
+            transformed /= np.where(self.divides[:, s, :], divisors[:, :, s, None], 1.0)
+        return transformed

@@ -490,18 +490,6 @@ class ResourceEstimator:
         return self._extractor.extract_plan(plan)
 
     # -- scalar estimation (one-row wrappers over the batch path) ------------------------------------
-    def estimate_operator(
-        self,
-        operator: PlanOperator,
-        parent: PlanOperator | None = None,
-        resource: str = "cpu",
-    ) -> float:
-        """Estimate one operator instance."""
-        features = self._extractor.extract_operator(operator, parent)
-        return float(
-            self.estimate_feature_rows(features.family, [features.values], resource)[0]
-        )
-
     def estimate_plan(self, plan: QueryPlan, resource: str = "cpu") -> float:
         """Estimate the total resource usage of a plan (sum over operators)."""
         return self.estimate_workload([plan], (resource,)).query(0, resource)

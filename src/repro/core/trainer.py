@@ -10,18 +10,19 @@ For every (operator family, resource) pair the trainer fits
 and then designates as the family's **default model** the trained model with
 the lowest error on the training set (the paper notes the default may
 already incorporate scaling).  The result is an :class:`OperatorModelSet`
-which, together with the online :class:`~repro.core.model_selection.ModelSelector`,
-fully determines how an operator instance is estimated.
+which, through the online :class:`~repro.core.model_selection.ModelSelector`
+compiled from it, fully determines how an operator instance is estimated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from repro.core.combined_model import CombinedModel
-from repro.core.model_selection import BatchSelection, ModelSelector, SelectionDecision
+from repro.core.model_selection import BatchSelection, ModelSelector
 from repro.core.scaled_model import ScalingStep
 from repro.core.scaling import default_scaling_function
 from repro.features.definitions import (
@@ -29,7 +30,8 @@ from repro.features.definitions import (
     features_for_family,
     scalable_features,
 )
-from repro.ml.mart import MARTConfig
+from repro.ml.flat_ensemble import FusedForest
+from repro.ml.mart import MARTConfig, MARTRegressor
 
 __all__ = ["TrainerConfig", "FamilyTrainingData", "OperatorModelSet", "ScalingModelTrainer"]
 
@@ -76,13 +78,37 @@ class FamilyTrainingData:
 
 @dataclass
 class OperatorModelSet:
-    """All trained models for one (family, resource) pair."""
+    """All trained models for one (family, resource) pair.
+
+    Selection and evaluation run on compiled state derived from the
+    models: the :class:`~repro.core.model_selection.ModelSelector` tables
+    and one :class:`~repro.ml.flat_ensemble.FusedForest` over every
+    candidate's trees.  The tables are built when the set is created (after
+    fitting or loading), the kernel on the first prediction.  Both are keyed
+    on the identity of the candidates and of their MART ensembles, rebuilt
+    whenever ``models`` or ``default_model`` changes, and never serialised
+    or copied (``copy.deepcopy`` and pickling drop them).
+    """
 
     family: OperatorFamily
     resource: str
     models: list[CombinedModel]
     default_model: CombinedModel
-    selector: ModelSelector = field(default_factory=ModelSelector)
+
+    def __post_init__(self) -> None:
+        self._compiled: _CompiledSet | None = None
+        self._compiled_state()
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state["_compiled"] = None
+        return state
+
+    def _compiled_state(self) -> "_CompiledSet":
+        state = self._compiled
+        if state is None or state.identity != _identity(self.default_model, self.models):
+            state = self._compiled = _CompiledSet(self.default_model, self.models)
+        return state
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -93,27 +119,22 @@ class OperatorModelSet:
         """Dense ``(n, len(feature_names))`` matrix from feature dictionaries."""
         return self.default_model.feature_matrix(feature_rows)
 
-    def select(self, feature_values: dict[str, float]) -> SelectionDecision:
-        return self.selector.select(self.default_model, self.models, feature_values)
-
     def select_batch(self, matrix: np.ndarray) -> BatchSelection:
         """Vectorised model selection for every row of a raw feature matrix."""
-        return self.selector.select_batch(self.default_model, self.models, matrix)
+        return self._compiled_state().selector.select_batch(matrix)
 
     def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Estimate the resource for every row of a raw feature matrix.
 
-        Selects a model per row in one vectorised pass, then runs one MART
-        evaluation per *chosen model* over the contiguous sub-matrix of the
-        rows it won, scattering results back into row order.
+        Selects a model per row in one vectorised pass, evaluates every row
+        with its winner's trees in one fused kernel call over the winner's
+        transformed inputs, then clips and scales each winner's rows.
+        Bit-identical to ``candidates[i].predict_batch`` on each winner's
+        rows.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         selection = self.select_batch(matrix)
-        estimates = np.zeros(matrix.shape[0], dtype=np.float64)
-        for index in np.unique(selection.indices):
-            mask = selection.indices == index
-            estimates[mask] = selection.candidates[index].predict_batch(matrix[mask])
-        return estimates
+        return self._compiled_state().predict(matrix, selection)
 
     def predict(self, feature_values: dict[str, float]) -> float:
         """Estimate the resource for one operator instance."""
@@ -122,6 +143,68 @@ class OperatorModelSet:
     @property
     def n_models(self) -> int:
         return len(self.models)
+
+
+_ENSEMBLE = attrgetter("model_")
+
+
+def _identity(default_model: CombinedModel, models: list[CombinedModel]) -> tuple[int, ...]:
+    """Object identities the compiled state of a model set depends on."""
+    return (
+        id(default_model),
+        id(default_model.model_),
+        *map(id, models),
+        *map(id, map(_ENSEMBLE, models)),
+    )
+
+
+class _CompiledSet:
+    """Selection tables plus the (lazily built) fused kernel of one model set."""
+
+    __slots__ = ("selector", "identity", "ensembles", "_kernel")
+
+    def __init__(self, default_model: CombinedModel, models: list[CombinedModel]) -> None:
+        self.selector = ModelSelector(default_model, models)
+        self.identity = _identity(default_model, models)
+        # Holding every ensemble keeps the ids in ``identity`` from being
+        # reused while this state is alive (the candidates hold themselves).
+        self.ensembles = tuple(model.model_ for model in self.selector.candidates)
+        self._kernel: tuple[FusedForest, list[MARTRegressor]] | None = None
+
+    def kernel(self) -> tuple[FusedForest, list[MARTRegressor]]:
+        if self._kernel is None:
+            fitted: list[MARTRegressor] = []
+            for model, ensemble in zip(self.selector.candidates, self.ensembles):
+                if ensemble is None:
+                    raise RuntimeError(f"{model.name} has not been trained")
+                fitted.append(ensemble)
+            self._kernel = (FusedForest([m.flat_forest() for m in fitted]), fitted)
+        return self._kernel
+
+    def predict(self, matrix: np.ndarray, selection: BatchSelection) -> np.ndarray:
+        n = matrix.shape[0]
+        if n == 0:
+            return np.zeros(0, dtype=np.float64)
+        if selection.candidates is not self.selector.candidates:
+            raise RuntimeError("model set changed between selection and prediction")
+        kernel, ensembles = self.kernel()
+        # Read at call time: fault injection mutates ``initial_prediction_``
+        # of a compiled ensemble in place.
+        init = np.asarray([m.initial_prediction_ for m in ensembles], dtype=np.float64)
+        rate = np.asarray([m.config.learning_rate for m in ensembles], dtype=np.float64)
+        indices = selection.indices
+        raw = kernel.predict(selection.inputs, indices, init, rate)
+        estimates = np.empty(n, dtype=np.float64)
+        winners = np.unique(indices)
+        for index in winners:
+            model = self.selector.candidates[int(index)]
+            rows = indices == index if winners.shape[0] > 1 else slice(None)
+            values = raw[rows]
+            if model.steps:
+                values = np.clip(values, model.scaled_target_low_, model.scaled_target_high_)
+                values = values * model.scale_factors(matrix[rows])
+            estimates[rows] = np.maximum(values, 0.0)
+        return estimates
 
 
 class ScalingModelTrainer:

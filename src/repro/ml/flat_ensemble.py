@@ -26,6 +26,13 @@ levels (possible only for hand-built or adversarial trees; the paper's
 10-leaf trees are far shallower) fall back to a generic ``np.where`` descent
 over active row cursors on the SoA arrays.
 
+:class:`FusedForest` is the serving-side counterpart for model selection:
+it concatenates the SoA arrays of several ensembles (every candidate of one
+operator model set) and runs each row against only the trees of its own
+member with a plain node-chasing loop — one kernel call per model set
+instead of one per selected candidate.  The heap tables above stay the path
+for single-ensemble callers (``MARTRegressor.predict``, the baselines).
+
 Numerical identity
 ------------------
 The kernel is bit-identical to the sequential per-tree fold
@@ -57,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "FlatForest",
     "FlatLayoutStats",
+    "FusedForest",
     "compile_mart",
     "compile_transform",
 ]
@@ -518,25 +526,25 @@ class FlatForest:
         threshold = np.empty(cells, dtype=np.float64)
         go_left = np.empty(cells, dtype=np.bool_)
         for level in range(bucket.depth):
-            np.take(colbases[level], pos, out=gather_index, mode="clip")
+            colbases[level].take(pos, out=gather_index, mode="clip")
             gather_index += row_index
-            np.take(transposed, gather_index, out=feature_value, mode="clip")
-            np.take(bucket.level_thrs[level], pos, out=threshold, mode="clip")
+            transposed.take(gather_index, out=feature_value, mode="clip")
+            bucket.level_thrs[level].take(pos, out=threshold, mode="clip")
             np.less_equal(feature_value, threshold, out=go_left)
             np.left_shift(pos, 1, out=pos)
             np.add(pos, go_left, out=pos, casting="unsafe")
         leaf = np.empty(cells, dtype=np.float64)
-        np.take(bucket.values, pos, out=leaf, mode="clip")
+        bucket.values.take(pos, out=leaf, mode="clip")
         if bucket.models is not None and model_colbase is not None:
             has_model, _, slope, intercept = bucket.models
-            np.take(model_colbase, pos, out=gather_index, mode="clip")
+            model_colbase.take(pos, out=gather_index, mode="clip")
             gather_index += row_index
-            np.take(transposed, gather_index, out=feature_value, mode="clip")
-            np.take(slope, pos, out=threshold, mode="clip")
+            transposed.take(gather_index, out=feature_value, mode="clip")
+            slope.take(pos, out=threshold, mode="clip")
             feature_value *= threshold
-            np.take(intercept, pos, out=threshold, mode="clip")
+            intercept.take(pos, out=threshold, mode="clip")
             feature_value += threshold
-            np.take(has_model, pos, out=go_left, mode="clip")
+            has_model.take(pos, out=go_left, mode="clip")
             leaf = np.where(go_left, feature_value, leaf)
         return leaf
 
@@ -655,6 +663,137 @@ class FlatForest:
             array_bytes=int(sum(arr.nbytes for arr in arrays)),
             dtype_summary="feature/children int32, thresholds/values float64, roots int64",
         )
+
+
+class FusedForest:
+    """Several compiled MART ensembles behind one node-chasing kernel.
+
+    The members' SoA node arrays are concatenated (node indices offset per
+    member) and every row is evaluated against its *own* member only: the
+    row's cursors start at that member's tree roots.  Leaves loop to
+    themselves (feature 0, threshold ``+inf``, both children the leaf), so
+    one fixed number of levels — the deepest tree of the members a call
+    uses — lands every cursor on a leaf.  Members with fewer trees than the
+    widest one pad their cursors with a zero-valued dummy leaf; each row
+    reads its own member's last running-sum column, so the padding never
+    enters a result.
+
+    Evaluation is bit-identical to :meth:`FlatForest.predict` of the row's
+    member: same routing (``x <= threshold`` goes left, NaN goes right),
+    the same per-tree ``rate *`` multiply and the same sequential
+    ``np.cumsum`` fold.  Only plain MART forests fuse (no per-leaf linear
+    refinements, no output clipping).
+    """
+
+    def __init__(self, forests: Sequence[FlatForest]) -> None:
+        if any(f.has_leaf_models or f.clip_negative for f in forests):
+            raise ValueError("fused forest: only plain MART ensembles can be fused")
+        sizes = np.asarray([f.n_nodes for f in forests], dtype=np.intp)
+        node_base = np.concatenate([np.zeros(1, dtype=np.intp), np.cumsum(sizes)])
+        dummy = int(node_base[-1])
+        n_nodes = dummy + 1
+        leaf = np.concatenate([f.feature_id < 0 for f in forests] + [np.ones(1, dtype=np.bool_)])
+        feature = np.concatenate(
+            [f.feature_id.astype(np.intp) for f in forests] + [np.zeros(1, dtype=np.intp)]
+        )
+        feature[leaf] = 0
+        threshold = np.concatenate(
+            [f.threshold for f in forests] + [np.zeros(1, dtype=np.float64)]
+        )
+        threshold[leaf] = np.inf
+        # Children interleaved so that ``children[2*pos + go_left]`` is the
+        # next cursor: RIGHT at the even slot, LEFT at the odd one.
+        own = np.arange(n_nodes, dtype=np.intp)
+        left = np.concatenate(
+            [f.left.astype(np.intp) + base for f, base in zip(forests, node_base)] + [own[-1:]]
+        )
+        right = np.concatenate(
+            [f.right.astype(np.intp) + base for f, base in zip(forests, node_base)] + [own[-1:]]
+        )
+        children = np.empty(2 * n_nodes, dtype=np.intp)
+        children[0::2] = np.where(leaf, own, right)
+        children[1::2] = np.where(leaf, own, left)
+        self.feature = feature
+        self.threshold = threshold
+        self.children = children
+        self.value = np.concatenate(
+            [f.leaf_value for f in forests] + [np.zeros(1, dtype=np.float64)]
+        )
+        self.n_trees = np.asarray([f.n_trees for f in forests], dtype=np.intp)
+        self.depth = np.asarray(
+            [int(f._tree_depths().max()) if f.n_trees else 0 for f in forests], dtype=np.intp
+        )
+        width = int(self.n_trees.max()) if forests else 0
+        roots = np.full((len(forests), width), dummy, dtype=np.intp)
+        for member, (forest, base) in enumerate(zip(forests, node_base)):
+            roots[member, : forest.n_trees] = forest.tree_roots + base
+        self.roots = roots
+
+    def predict(
+        self,
+        features: np.ndarray,
+        member: np.ndarray,
+        init: np.ndarray,
+        rate: np.ndarray,
+    ) -> np.ndarray:
+        """Evaluate row ``i`` of ``features`` with member ``member[i]``.
+
+        ``features`` holds, per row, the input features of that row's
+        member (columns past the member's own width are never read);
+        ``init`` / ``rate`` hold every member's *current* initial
+        prediction and learning rate.
+        """
+        matrix = np.ascontiguousarray(features, dtype=np.float64)
+        n_rows, width = matrix.shape
+        member = np.asarray(member, dtype=np.intp)
+        n_trees = self.n_trees[member]
+        n_cols = int(n_trees.max()) if n_rows else 0
+        contrib = np.empty((n_rows, n_cols + 1), dtype=np.float64)
+        contrib[:, 0] = init[member]
+        if n_rows and n_cols:
+            depth = int(self.depth[member].max())
+            flat = matrix.ravel()
+            block = max(int(_CELL_BUDGET // n_cols), 16)
+            for start in range(0, n_rows, block):
+                stop = min(start + block, n_rows)
+                contrib[start:stop, 1:] = self._route(
+                    flat, member[start:stop], start * width, width, n_cols, depth
+                )
+        contrib[:, 1:] *= rate[member].reshape(-1, 1)
+        np.cumsum(contrib, axis=1, out=contrib)
+        return contrib[np.arange(n_rows, dtype=np.intp), n_trees]
+
+    def _route(
+        self,
+        flat: np.ndarray,
+        member: np.ndarray,
+        offset: int,
+        width: int,
+        n_cols: int,
+        depth: int,
+    ) -> np.ndarray:
+        """Leaf value of every (row, tree) cursor of one row block."""
+        cells = (member.shape[0], n_cols)
+        pos = self.roots[member, :n_cols]
+        nxt = np.empty(cells, dtype=np.intp)
+        row_base = (offset + width * np.arange(member.shape[0], dtype=np.intp)).reshape(-1, 1)
+        gather_index = np.empty(cells, dtype=np.intp)
+        feature_value = np.empty(cells, dtype=np.float64)
+        threshold = np.empty(cells, dtype=np.float64)
+        go_left = np.empty(cells, dtype=np.bool_)
+        for _ in range(depth):
+            self.feature.take(pos, out=gather_index, mode="clip")
+            gather_index += row_base
+            flat.take(gather_index, out=feature_value, mode="clip")
+            self.threshold.take(pos, out=threshold, mode="clip")
+            np.less_equal(feature_value, threshold, out=go_left)
+            np.left_shift(pos, 1, out=pos)
+            np.add(pos, go_left, out=pos, casting="unsafe")
+            self.children.take(pos, out=nxt, mode="clip")
+            pos, nxt = nxt, pos
+        leaf = np.empty(cells, dtype=np.float64)
+        self.value.take(pos, out=leaf, mode="clip")
+        return leaf
 
 
 def compile_mart(model: "MARTRegressor") -> FlatForest:

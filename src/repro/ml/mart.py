@@ -114,6 +114,16 @@ class MARTRegressor:
     # -- fitting ----------------------------------------------------------------------------
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "MARTRegressor":
         """Fit the ensemble on ``features`` (n, d) and ``targets`` (n,)."""
+        self.fit_predict(features, targets)
+        return self
+
+    def fit_predict(self, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Fit the ensemble and return its predictions for ``features``.
+
+        The boosting loop's running predictions are the sequential per-tree
+        fold over the training rows, so they equal ``predict(features)``
+        bitwise without compiling the ensemble.
+        """
         features = np.asarray(features, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
         if features.ndim != 2:
@@ -148,7 +158,7 @@ class MARTRegressor:
             update = tree.predict(features)
             predictions += cfg.learning_rate * update
             self.trees_.append(tree)
-        return self
+        return predictions
 
     # -- prediction ---------------------------------------------------------------------------
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -9,12 +9,15 @@ and TPC-DS sample workloads and both resources.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+import selection_oracle
 from repro.core import ResourceEstimator
 from repro.core.combined_model import CombinedModel
-from repro.core.estimator import _FallbackModel
+from repro.core.estimator import _FallbackModel, _family_matrix
 from repro.core.model_selection import ModelSelector
 from repro.core.scaled_model import (
     MIN_DIVISOR,
@@ -23,7 +26,10 @@ from repro.core.scaled_model import (
     transform_targets,
 )
 from repro.core.scaling import SCALING_FUNCTIONS
-from repro.core.trainer import ScalingModelTrainer, TrainerConfig
+from repro.core.serialization import load_estimator, save_estimator
+from repro.core.trainer import FamilyTrainingData, ScalingModelTrainer, TrainerConfig
+from repro.robustness import FaultInjector
+from repro.robustness.lifecycle import run_canary_checks
 from repro.baselines import ScalingTechnique
 from repro.features.definitions import FeatureMode, OperatorFamily
 from repro.ml.mart import MARTConfig
@@ -166,7 +172,6 @@ class TestCombinedModelBatch:
 
     def test_trained_model_set_batch_matches_scalar(self):
         rows, targets = synthetic_rows(300, max_rows=5_000.0)
-        from repro.core.trainer import FamilyTrainingData
 
         data = FamilyTrainingData(family=OperatorFamily.FILTER)
         for row, target in zip(rows, targets):
@@ -248,13 +253,134 @@ class TestCombinedModelBatch:
         )
         scaled.fit(rows, targets)
         probe = self._outlier_rows()
-        selector = ModelSelector()
-        batch = selector.select_batch(plain, [plain, scaled], plain.feature_matrix(probe))
+        selector = ModelSelector(plain, [plain, scaled])
+        matrix = plain.feature_matrix(probe)
+        batch = selector.select_batch(matrix)
+        assert len(np.unique(batch.indices)) == 2
         for i, row in enumerate(probe):
-            decision = selector.select(plain, [plain, scaled], row)
-            assert batch.model_for(i) is decision.model
-            assert batch.max_out_ratios[i] == pytest.approx(decision.max_out_ratio)
-            assert bool(batch.used_default[i]) == decision.used_default
+            single = selector.select_batch(matrix[i : i + 1])
+            index, ratio, used_default = selection_oracle.select(plain, [plain, scaled], row)
+            assert int(batch.indices[i]) == int(single.indices[0]) == index
+            assert batch.max_out_ratios[i] == single.max_out_ratios[0] == ratio
+            assert bool(batch.used_default[i]) == bool(single.used_default[0]) == used_default
+
+
+class TestCompiledState:
+    """Lifecycle of a model set's compiled selection tables and fused kernel."""
+
+    @staticmethod
+    def _probe(model_set) -> np.ndarray:
+        rows, _ = synthetic_rows(60, seed=8)
+        for i, row in enumerate(rows):
+            if i % 2:
+                row["CIN1"] *= 1e4
+                row["SOUTAVG"] *= 50.0
+        return model_set.feature_matrix(rows)
+
+    @staticmethod
+    def _probe_family(model_set) -> np.ndarray:
+        rng = np.random.default_rng(4)
+        return rng.uniform(0.0, 1e4, size=(40, len(model_set.feature_names)))
+
+    @staticmethod
+    def _trained_set():
+        rows, targets = synthetic_rows(200, max_rows=5_000.0)
+        data = FamilyTrainingData(family=OperatorFamily.FILTER)
+        for row, target in zip(rows, targets):
+            data.add(row, {"cpu": float(target)})
+        trainer = ScalingModelTrainer(TrainerConfig(mart=tiny_mart(), max_pair_models=1))
+        model_set = trainer.train_family(data, "cpu")
+        assert model_set is not None
+        return model_set
+
+    def test_new_default_on_a_deep_copy_rebuilds_the_tables(self):
+        model_set = self._trained_set()
+        matrix = self._probe(model_set)
+        before = model_set.select_batch(matrix)
+        clone = copy.deepcopy(model_set)
+        assert np.array_equal(clone.select_batch(matrix).indices, before.indices)
+        clone.default_model = next(m for m in clone.models if m is not clone.default_model)
+        after = clone.select_batch(matrix)
+        assert not np.array_equal(after.indices, before.indices)
+        for i in range(matrix.shape[0]):
+            row = dict(zip(clone.feature_names, matrix[i]))
+            index, _, used_default = selection_oracle.select(
+                clone.default_model, clone.models, row
+            )
+            assert int(after.indices[i]) == index
+            assert bool(after.used_default[i]) == used_default
+        assert all(a is b for a, b in zip(after.candidates, clone.models))
+        # The original keeps its own default and its own candidates.
+        again = model_set.select_batch(matrix)
+        assert np.array_equal(again.indices, before.indices)
+        assert all(a is b for a, b in zip(again.candidates, model_set.models))
+
+    def test_replaced_candidate_rebuilds_the_kernel(self):
+        model_set = self._trained_set()
+        matrix = self._probe(model_set)
+        before = model_set.predict_batch(matrix)
+        position = int(np.bincount(model_set.select_batch(matrix).indices).argmax())
+        replacement = copy.deepcopy(model_set.models[position])
+        assert replacement.model_ is not None
+        replacement.model_.initial_prediction_ += 1.0
+        model_set.models[position] = replacement
+        selection = model_set.select_batch(matrix)
+        assert selection.candidates[position] is replacement
+        estimates = model_set.predict_batch(matrix)
+        won = selection.indices == position
+        assert won.any()
+        assert estimates[won].tobytes() == replacement.predict_batch(matrix[won]).tobytes()
+        assert not np.array_equal(estimates[won], before[won])
+
+    def test_in_place_poison_reaches_the_canary(self, trained_estimator):
+        estimator = copy.deepcopy(trained_estimator)
+        key = min(estimator.model_sets, key=lambda k: (k[0].value, k[1]))
+        model_set = estimator.model_sets[key]
+        matrix = self._probe_family(model_set)
+        assert np.isfinite(model_set.predict_batch(matrix)).all()  # compiles the kernel
+        for model in model_set.models:
+            assert model.model_ is not None
+            model.model_.initial_prediction_ = float("nan")
+        assert np.isnan(model_set.predict_batch(matrix)).all()
+        report = run_canary_checks(estimator)
+        assert [(f.family, f.resource) for f in report.failures] == [key]
+
+    @pytest.mark.parametrize("mode", ["nan", "huge"])
+    def test_poisoned_artifact_fails_the_canary(self, trained_estimator, tmp_path, mode):
+        path = FaultInjector(seed=1).poisoned_artifact(
+            trained_estimator, tmp_path / f"{mode}.bin", mode=mode
+        )
+        report = run_canary_checks(load_estimator(path))
+        assert not report.passed
+        assert run_canary_checks(trained_estimator).passed
+
+    def test_every_artifact_version_and_mmap_selects_the_same(
+        self, trained_estimator, workload_split, tmp_path
+    ):
+        _, test = workload_split
+        loaded = [trained_estimator]
+        for version in (1, 2, 3):
+            path = save_estimator(trained_estimator, tmp_path / f"v{version}.bin", version=version)
+            loaded.append(load_estimator(path))
+        loaded.append(load_estimator(tmp_path / "v3.bin", mmap=True))
+        features = [trained_estimator.extract_plan_features(q.plan) for q in test]
+        for family in {op.family for plan in features for op in plan.values()}:
+            rows = [op.values for plan in features for op in plan.values() if op.family == family]
+            matrix = _family_matrix(family, rows)
+            matrix = np.concatenate([matrix, matrix * 1e3, matrix * 1e-3])
+            for resource in RESOURCES:
+                if (family, resource) not in trained_estimator.model_sets:
+                    continue
+                reference = trained_estimator.model_sets[(family, resource)]
+                expected = reference.select_batch(matrix)
+                expected_values = reference.predict_batch(matrix)
+                for estimator in loaded[1:]:
+                    model_set = estimator.model_sets[(family, resource)]
+                    selection = model_set.select_batch(matrix)
+                    assert np.array_equal(selection.indices, expected.indices)
+                    assert selection.max_out_ratios.tobytes() == expected.max_out_ratios.tobytes()
+                    assert np.array_equal(selection.used_default, expected.used_default)
+                    assert model_set.predict_batch(matrix).tobytes() == expected_values.tobytes()
 
 
 class TestFallbackModel:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+import selection_oracle
 from repro.core.combined_model import CombinedModel
 from repro.core.model_selection import ModelSelector
 from repro.core.scaled_model import ScalingStep
@@ -83,7 +86,7 @@ class TestCombinedModel:
         rows, targets = synthetic_rows()
         model = CombinedModel(OperatorFamily.FILTER, "cpu", FEATURES, (), tiny_mart())
         model.fit(rows, targets)
-        assert model.max_out_ratio(rows[0]) == 0.0
+        assert max_out_ratio(model, rows[0]) == 0.0
 
     def test_out_ratio_positive_outside_training_range(self):
         rows, targets = synthetic_rows(max_rows=5_000.0)
@@ -91,7 +94,7 @@ class TestCombinedModel:
         model.fit(rows, targets)
         outlier = dict(rows[0])
         outlier["CIN1"] = 500_000.0
-        assert model.out_ratio(outlier, "CIN1") > 1.0
+        assert max_out_ratio(model, outlier) > 1.0
 
     def test_scaled_model_ignores_out_of_range_scaling_feature(self):
         rows, targets = synthetic_rows(max_rows=5_000.0)
@@ -105,8 +108,8 @@ class TestCombinedModel:
         outlier["SINTOT1"] = outlier["CIN1"] * outlier["SINAVG1"]
         # CIN1 is not an input of the scaled model, and SINTOT1 is normalised
         # by CIN1, so the instance is no longer an outlier for this model.
-        assert scaled.out_ratio(outlier, "CIN1") == 0.0
-        assert scaled.max_out_ratio(outlier) < 0.5
+        assert "CIN1" not in scaled.input_features_
+        assert max_out_ratio(scaled, outlier) < 0.5
 
     def test_predictions_are_nonnegative(self):
         rows, targets = synthetic_rows()
@@ -132,6 +135,24 @@ class TestCombinedModel:
         assert "CIN1:nlogn" in scaled.name
 
 
+def max_out_ratio(model: CombinedModel, row: dict) -> float:
+    """A model's max out_ratio for one row, compiled and oracle agreeing."""
+    selection = ModelSelector(model, [model]).select_batch(model.feature_matrix([row]))
+    expected = selection_oracle.selection_key(model, row)[0]
+    assert selection.max_out_ratios[0] == expected
+    return expected
+
+
+def select_one(default: CombinedModel, models: list, row: dict):
+    """Compiled selection of one row, checked against the oracle."""
+    selection = ModelSelector(default, models).select_batch(default.feature_matrix([row]))
+    index, ratio, used_default = selection_oracle.select(default, models, row)
+    assert int(selection.indices[0]) == index
+    assert float(selection.max_out_ratios[0]) == ratio
+    assert bool(selection.used_default[0]) == used_default
+    return selection
+
+
 class TestModelSelection:
     def _models(self):
         rows, targets = synthetic_rows(max_rows=5_000.0)
@@ -146,19 +167,19 @@ class TestModelSelection:
 
     def test_default_used_when_in_range(self):
         rows, plain, scaled = self._models()
-        decision = ModelSelector().select(plain, [plain, scaled], rows[0])
-        assert decision.model is plain
-        assert decision.used_default
-        assert decision.max_out_ratio == 0.0
+        selection = select_one(plain, [plain, scaled], rows[0])
+        assert selection.model_for(0) is plain
+        assert selection.used_default[0]
+        assert selection.max_out_ratios[0] == 0.0
 
     def test_scaled_model_chosen_for_outliers(self):
         rows, plain, scaled = self._models()
         outlier = dict(rows[0])
         outlier["CIN1"] = 1_000_000.0
         outlier["SINTOT1"] = outlier["CIN1"] * outlier["SINAVG1"]
-        decision = ModelSelector().select(plain, [plain, scaled], outlier)
-        assert decision.model is scaled
-        assert not decision.used_default
+        selection = select_one(plain, [plain, scaled], outlier)
+        assert selection.model_for(0) is scaled
+        assert not selection.used_default[0]
 
     def test_tie_break_prefers_fewer_scaling_features(self):
         rows, targets = synthetic_rows()
@@ -180,8 +201,37 @@ class TestModelSelection:
         outlier = dict(rows[0])
         outlier["CIN1"] = 1_000_000.0
         outlier["SINTOT1"] = outlier["CIN1"] * outlier["SINAVG1"]
-        decision = ModelSelector().select(plain, [plain, single, double], outlier)
-        assert decision.model is single
+        selection = select_one(plain, [plain, single, double], outlier)
+        assert selection.model_for(0) is single
+
+    def test_tie_break_reaches_the_last_tail_entry(self):
+        """Candidates equal on 8 key columns are split by the 7th tail entry."""
+        rows, targets = synthetic_rows(max_rows=5_000.0)
+        scored = CombinedModel(OperatorFamily.FILTER, "cpu", FEATURES, (), tiny_mart())
+        scored.fit(rows, targets)
+        unscored = copy.deepcopy(scored)
+        del unscored.training_low_["CPREDICATES"], unscored.training_high_["CPREDICATES"]
+        row = dict(rows[0])
+        # Seven features far out of range and CPREDICATES (constant 1 in
+        # training, unknown to ``unscored``) barely out: the sorted profiles
+        # differ only in their 8th entry, tail[6].
+        for name in ("COUT", "SOUTTOT", "CIN1", "SINTOT1", "CIN2", "SINAVG2", "SINTOT2"):
+            row[name] = 1e6 * (1.0 + row[name])
+        row["CPREDICATES"] = 1.0 + 1e-12
+        profile = selection_oracle.out_ratio_profile(scored, row)
+        assert profile[6] > profile[7] > 0.0 and profile[8] == 0.0
+        selection = select_one(scored, [scored, unscored], row)
+        assert selection.model_for(0) is unscored
+        assert selection.max_out_ratios[0] > 0.0
+
+    def test_full_tie_keeps_the_first_candidate(self):
+        rows, plain, scaled = self._models()
+        twin = copy.deepcopy(scaled)
+        outlier = dict(rows[0])
+        outlier["CIN1"] = 1_000_000.0
+        outlier["SINTOT1"] = outlier["CIN1"] * outlier["SINAVG1"]
+        assert select_one(plain, [plain, scaled, twin], outlier).model_for(0) is scaled
+        assert select_one(plain, [plain, twin, scaled], outlier).model_for(0) is twin
 
 
 class TestTrainer:

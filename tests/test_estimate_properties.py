@@ -9,10 +9,24 @@ flags are exercised too):
 * a batch estimate equals the concatenation of single-plan estimates;
 * a slice of a combined batch equals the direct estimate of its plans, for
   random request splits and resource subsets, as the coalescer cuts them.
+
+Two more pin the compiled model selection of an operator model set
+against references over hand-built candidates (scaling-step chains, a
+duplicated step, a step on a missing column, an unknown training range and
+an exact duplicate candidate) and rows that are in range, out of range,
+overflowing to ``inf``, NaN or exact ties:
+
+* ``select_batch`` equals the pure-Python oracle of the Section 6.3 rule
+  (``tests/selection_oracle.py``) and the concatenation of single-row
+  selections;
+* ``predict_batch`` equals each winner's own ``CombinedModel.predict_batch``
+  on the rows it won.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +34,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selection_oracle
+from repro.core.combined_model import CombinedModel
 from repro.core.estimator import WorkloadEstimate
+from repro.core.scaled_model import ScalingStep
+from repro.core.scaling import SCALING_FUNCTIONS
+from repro.core.trainer import OperatorModelSet
+from repro.features.definitions import OperatorFamily
+from repro.ml.mart import MARTConfig
 from repro.robustness import FaultInjector
 from repro.robustness.degradation import DegradationReport
 from repro.workloads.tpcds import build_tpcds_workload
@@ -123,3 +144,127 @@ def test_slice_equals_direct_estimate(trained_estimator, pool, requests):
         direct = _estimate(trained_estimator, pool, indices, resources)
         _assert_same(combined.slice(offset, len(indices), resources), direct)
         offset += len(indices)
+
+
+# -- compiled model selection --------------------------------------------------------------------
+
+SELECTION_FEATURES = ("COUT", "SOUTAVG", "SOUTTOT", "CIN1", "SINAVG1", "SINTOT1",
+                      "CIN2", "SINAVG2", "SINTOT2", "OUTPUTUSAGE", "CPREDICATES")
+#: Per-feature multipliers applied to in-range training rows.
+MULTIPLIERS = (1.0, 1.0, 0.5, 2.0, 10.0, 1e3, 1e-3, 0.0, -1.0, 1e300,
+               math.inf, -math.inf, math.nan)
+N_BASE_ROWS = 40
+
+probe_rows = st.lists(
+    st.tuples(
+        st.integers(0, N_BASE_ROWS - 1),
+        st.lists(
+            st.tuples(st.sampled_from(SELECTION_FEATURES), st.sampled_from(MULTIPLIERS)),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _training_rows(n: int = 150) -> tuple[list[dict[str, float]], np.ndarray]:
+    rng = np.random.default_rng(5)
+    rows, targets = [], []
+    for _ in range(n):
+        cin = float(rng.uniform(100, 5_000))
+        width = float(rng.uniform(10, 200))
+        cout = cin * float(rng.uniform(0.1, 0.9))
+        rows.append({
+            "COUT": cout, "SOUTAVG": width, "SOUTTOT": cout * width,
+            "CIN1": cin, "SINAVG1": width, "SINTOT1": cin * width,
+            "CIN2": 0.0, "SINAVG2": 0.0, "SINTOT2": 0.0,
+            "OUTPUTUSAGE": 3.0, "CPREDICATES": float(rng.integers(1, 4)),
+        })
+        targets.append(0.05 * cin * (1.0 + width / 200.0))
+    return rows, np.asarray(targets, dtype=np.float64)
+
+
+@pytest.fixture(scope="module")
+def selection_case():
+    """Candidates covering every branch of the compiled transform and keys."""
+    rows, targets = _training_rows()
+    linear = SCALING_FUNCTIONS["linear"]
+    mart = MARTConfig(n_iterations=8, max_leaves=6, learning_rate=0.3, subsample=1.0)
+
+    def fitted(*features: str) -> CombinedModel:
+        steps = tuple(ScalingStep(feature, linear) for feature in features)
+        model = CombinedModel(OperatorFamily.FILTER, "cpu", SELECTION_FEATURES, steps, mart)
+        return model.fit(rows, targets)
+
+    plain, cin1, soutavg = fitted(), fitted("CIN1"), fitted("SOUTAVG")
+    unknown = copy.deepcopy(soutavg)
+    del unknown.training_low_["CPREDICATES"], unknown.training_high_["CPREDICATES"]
+    models = [
+        plain, cin1, soutavg,
+        fitted("CIN1", "COUT"),      # the second step reads a divided column
+        fitted("SOUTTOT", "COUT"),
+        fitted("CIN1", "CIN1"),      # the second step reads the raw column
+        fitted("TSIZE"),             # a step on a column the family lacks
+        copy.deepcopy(cin1),         # ties ``cin1`` on every row
+        unknown,
+    ]
+    outside = fitted("SINAVG1")
+    return rows, models, {"first": plain, "scaled": cin1, "outside": outside}
+
+
+def _probe_matrix(rows, specs) -> tuple[list[dict[str, float]], np.ndarray]:
+    probes = []
+    for base, changes in specs:
+        row = dict(rows[base])
+        for feature, multiplier in changes:
+            with np.errstate(all="ignore"):
+                row[feature] = float(np.float64(row[feature]) * multiplier) + 0.0
+        probes.append(row)
+    matrix = np.asarray(
+        [[row[name] for name in SELECTION_FEATURES] for row in probes], dtype=np.float64
+    )
+    return probes, matrix
+
+
+def _same_floats(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equal, except that any NaN matches any NaN (payloads are free)."""
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=probe_rows, default=st.sampled_from(["first", "scaled", "outside"]))
+def test_compiled_selection_matches_oracle_and_single_rows(selection_case, specs, default):
+    rows, models, defaults = selection_case
+    model_set = OperatorModelSet(OperatorFamily.FILTER, "cpu", models, defaults[default])
+    probes, matrix = _probe_matrix(rows, specs)
+    with np.errstate(all="ignore"):
+        batch = model_set.select_batch(matrix)
+        singles = [model_set.select_batch(matrix[i : i + 1]) for i in range(len(probes))]
+    oracle = [
+        selection_oracle.select(model_set.default_model, models, row) for row in probes
+    ]
+    assert batch.indices.tolist() == [index for index, _, _ in oracle]
+    assert batch.used_default.tolist() == [used for _, _, used in oracle]
+    assert _same_floats(
+        batch.max_out_ratios, np.asarray([ratio for _, ratio, _ in oracle], dtype=np.float64)
+    )
+    assert np.array_equal(np.concatenate([s.indices for s in singles]), batch.indices)
+    assert np.array_equal(np.concatenate([s.used_default for s in singles]), batch.used_default)
+    assert _same_floats(np.concatenate([s.max_out_ratios for s in singles]), batch.max_out_ratios)
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=probe_rows, default=st.sampled_from(["first", "scaled", "outside"]))
+def test_model_set_predict_equals_per_winner_predict(selection_case, specs, default):
+    rows, models, defaults = selection_case
+    model_set = OperatorModelSet(OperatorFamily.FILTER, "cpu", models, defaults[default])
+    _, matrix = _probe_matrix(rows, specs)
+    with np.errstate(all="ignore"):
+        selection = model_set.select_batch(matrix)
+        estimates = model_set.predict_batch(matrix)
+        for index in np.unique(selection.indices):
+            won = selection.indices == index
+            expected = selection.candidates[index].predict_batch(matrix[won])
+            assert estimates[won].tobytes() == expected.tobytes()

@@ -29,8 +29,9 @@ class TestResourceEstimator:
     def test_operator_estimates_positive(self, trained_estimator, workload_split):
         _, test = workload_split
         for query in test[:5]:
-            for op in query.plan.operators():
-                assert trained_estimator.estimate_operator(op, resource="cpu") >= 0.0
+            estimates = trained_estimator.estimate_operators(query.plan, "cpu")
+            assert len(estimates) == len(query.plan.operators())
+            assert all(value >= 0.0 for value in estimates.values())
 
     def test_plan_estimate_is_sum_of_operators(self, trained_estimator, workload_split):
         _, test = workload_split
