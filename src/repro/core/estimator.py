@@ -8,15 +8,19 @@ Estimation has one batched path.  :meth:`ResourceEstimator.estimate_workload`
 extracts each plan's features and hands them to
 :meth:`ResourceEstimator.estimate_extracted_workload`, which the serving
 layer also feeds from its per-plan feature cache.  That method groups
-operator rows by ``(family, resource)`` into contiguous float64 matrices,
-runs one vectorised model-selection + MART evaluation per group, and
-scatters each prediction vector into a columnar :class:`WorkloadEstimate`:
-one float64 column per resource, plan after plan, each plan's operators in
-pre-order.  Pipeline and query estimates are views over those columns, and
-the per-plan methods are one-line wrappers over the batch, so scalar/batch
-parity holds by construction — and the batched path makes the paper's
-observation that prediction overhead is negligible next to query
-optimisation (Section 7.3) hold for whole workloads, not just single calls.
+operator rows by family into contiguous float64 matrices and evaluates them
+on the estimator's compiled model sets
+(:class:`~repro.core.trainer.CompiledModelSets`): one model-selection call
+per family covers every requested resource, and one fused MART kernel call
+covers every family and resource of the request.  The degradation ladder
+then serves the rows the models cannot, and each prediction vector is
+scattered into a columnar :class:`WorkloadEstimate`: one float64 column per
+resource, plan after plan, each plan's operators in pre-order.  Pipeline
+and query estimates are views over those columns, and the per-plan methods
+are one-line wrappers over the batch, so scalar/batch parity holds by
+construction — and the batched path makes the paper's observation that
+prediction overhead is negligible next to query optimisation (Section 7.3)
+hold for whole workloads, not just single calls.
 """
 
 # repro: hot-path — batched estimation code; lint rules R1/R6 apply.
@@ -32,10 +36,12 @@ import numpy as np
 
 from repro.core.scaling import fit_robust_scaling
 from repro.core.trainer import (
+    CompiledModelSets,
     FamilyTrainingData,
     OperatorModelSet,
     ScalingModelTrainer,
     TrainerConfig,
+    model_sets_identity,
 )
 from repro.robustness.degradation import (
     DegradationReport,
@@ -236,6 +242,14 @@ class ResourceEstimator:
 
     def __post_init__(self) -> None:
         self._extractor = FeatureExtractor(self.feature_mode)
+        #: Serving state derived from :attr:`model_sets` (see
+        #: :meth:`_compiled_models`); dropped by copies and pickling.
+        self._compiled: CompiledModelSets | None = None
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state["_compiled"] = None
+        return state
 
     # -- training -----------------------------------------------------------------------------------
     @classmethod
@@ -418,29 +432,35 @@ class ResourceEstimator:
         offset_array = np.asarray(offsets, dtype=np.int64)
         plan_of_row = np.repeat(np.arange(len(plans), dtype=np.int64), np.diff(offset_array))
 
+        # Rows with a non-finite feature never reach a model when guarded.
+        servable = {
+            family: self._servable_rows(matrix) if guardrails else None
+            for family, matrix in matrices.items()
+        }
+        fused = self._fused_predictions(matrices, servable, resources)
         values: dict[str, np.ndarray] = {}
         degraded: list[tuple[int, int, DegradedOperator]] = []
         for resource in resources:
             column = np.empty(len(node_ids), dtype=np.float64)
             for family, rows in rows_of.items():
-                if guardrails:
-                    predictions, tiers, reasons = self._predict_family_rows_guarded(
-                        family, matrices[family], resource
+                predictions, tiers, reasons = self._family_rows(
+                    family,
+                    matrices[family],
+                    resource,
+                    servable[family],
+                    fused.get((family, resource)),
+                    guardrails,
+                )
+                for row_index, reason in reasons.items():
+                    row = int(rows[row_index])
+                    entry = DegradedOperator(
+                        plan_index=int(plan_of_row[row]),
+                        node_id=node_ids[row],
+                        resource=resource,
+                        tier=DegradationTier(int(tiers[row_index])),
+                        reason=reason,
                     )
-                    for row_index, reason in reasons.items():
-                        row = int(rows[row_index])
-                        entry = DegradedOperator(
-                            plan_index=int(plan_of_row[row]),
-                            node_id=node_ids[row],
-                            resource=resource,
-                            tier=DegradationTier(int(tiers[row_index])),
-                            reason=reason,
-                        )
-                        degraded.append((row, self.resources.index(resource), entry))
-                else:
-                    predictions = self._predict_family_rows(
-                        family, matrices[family], resource
-                    )
+                    degraded.append((row, self.resources.index(resource), entry))
                 column[rows] = predictions
             values[resource] = column
         degradation = None
@@ -477,8 +497,18 @@ class ResourceEstimator:
         feature_rows: Sequence[dict[str, float]],
         resource: str = "cpu",
     ) -> np.ndarray:
-        """Batch-estimate already-extracted feature dictionaries of one family."""
-        return self._predict_family_rows(family, _family_matrix(family, feature_rows), resource)
+        """Batch-estimate already-extracted feature dictionaries of one family.
+
+        The unguarded estimation path of :meth:`estimate_extracted_workload`
+        (``guardrails=False``) for one family and one resource.
+        """
+        self._check_resource(resource)
+        matrices = {family: _family_matrix(family, feature_rows)}
+        fused = self._fused_predictions(matrices, {family: None}, (resource,))
+        predictions, _, _ = self._family_rows(
+            family, matrices[family], resource, None, fused.get((family, resource)), False
+        )
+        return predictions
 
     def extract_plan_features(self, plan: QueryPlan) -> dict[int, OperatorFeatures]:
         """Per-operator feature vectors of a plan, in this estimator's mode.
@@ -507,113 +537,129 @@ class ResourceEstimator:
         return self.estimate_workload([plan], (resource,)).query(0, resource)
 
     # -- internals --------------------------------------------------------------------------------------
-    def _predict_family_rows(
-        self, family: OperatorFamily, matrix: np.ndarray, resource: str
-    ) -> np.ndarray:
-        """One batched prediction for rows of one family (canonical column order)."""
-        self._check_resource(resource)
-        matrix = np.asarray(matrix, dtype=np.float64)
-        model_set = self.model_sets.get((family, resource))
-        if model_set is not None:
-            return model_set.predict_batch(matrix)
-        fallback = self.fallbacks.get(resource)
-        if fallback is not None:
-            names = features_for_family(family)
-            return fallback.predict_batch(
-                matrix[:, names.index("COUT")], matrix[:, names.index("CIN1")]
-            )
-        return np.zeros(matrix.shape[0], dtype=np.float64)
+    def _compiled_models(self) -> CompiledModelSets:
+        """The serving state of :attr:`model_sets`, rebuilt when they change."""
+        compiled = self._compiled
+        if compiled is None or compiled.identity != model_sets_identity(self.model_sets):
+            compiled = self._compiled = CompiledModelSets(self.model_sets)
+        return compiled
 
-    def _predict_family_rows_guarded(
-        self, family: OperatorFamily, matrix: np.ndarray, resource: str
+    @staticmethod
+    def _servable_rows(matrix: np.ndarray) -> np.ndarray | None:
+        """Rows whose features are all finite, or ``None`` when every row is."""
+        finite = np.isfinite(matrix)
+        if finite.all():
+            return None
+        return finite.all(axis=1)
+
+    def _fused_predictions(
+        self,
+        matrices: dict[OperatorFamily, np.ndarray],
+        servable: dict[OperatorFamily, np.ndarray | None],
+        resources: Sequence[str],
+    ) -> dict[tuple[OperatorFamily, str], np.ndarray]:
+        """Model output of every compiled (family, resource) over its servable rows.
+
+        One selection call per family and one kernel call in total (see
+        :class:`~repro.core.trainer.CompiledModelSets`).  When that raises,
+        the result is empty and every model set serves its rows on its own.
+        """
+        try:
+            return self._compiled_models().predict(
+                {
+                    family: matrix if servable[family] is None else matrix[servable[family]]
+                    for family, matrix in matrices.items()
+                },
+                resources,
+            )
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            _LOGGER.warning(
+                "fused model evaluation raised; serving each model set on its own: %s", exc
+            )
+            return {}
+
+    def _family_rows(
+        self,
+        family: OperatorFamily,
+        matrix: np.ndarray,
+        resource: str,
+        servable: np.ndarray | None,
+        fused: np.ndarray | None,
+        guardrails: bool,
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-        """Guarded batched prediction: rows the model cannot serve degrade.
+        """Predictions of one family's rows for one resource.
 
         Returns ``(predictions, tiers, reasons)`` where ``tiers[i]`` is the
         :class:`~repro.robustness.degradation.DegradationTier` that served
         row ``i`` and ``reasons`` maps exactly the degraded row indices to
-        why they left the model tier.  On clean inputs with a trained model
-        set this returns the model's batch output unchanged (bit-identical
-        to :meth:`_predict_family_rows`).
+        why they left the model tier.  ``servable`` marks the rows with
+        finite features (``None``: every row) and ``fused`` is the fused
+        pass's output over them, when the model set was compiled.  Without
+        ``guardrails`` the model output is returned as is and nothing
+        degrades.  With them, rows the model cannot serve — non-finite
+        features, a raising model, non-finite or negative predictions — go
+        down the ladder; on valid output the model's values are returned
+        unchanged, so both modes agree bitwise on clean rows.
         """
-        self._check_resource(resource)
-        matrix = np.asarray(matrix, dtype=np.float64)
         n = int(matrix.shape[0])
         tiers = np.full(n, int(DegradationTier.MODEL), dtype=np.int64)
         reasons: dict[int, str] = {}
         model_set = self.model_sets.get((family, resource))
-
         if model_set is None:
-            # Parity with the ungated path: families without a trained model
-            # set are served by the global fallback, recorded as such.
+            # Families without a trained model set are served by the global
+            # fallback, recorded as such.
             names = features_for_family(family)
-            cout = matrix[:, names.index("COUT")]
-            cin1 = matrix[:, names.index("CIN1")]
             fallback = self.fallbacks.get(resource)
-            if fallback is not None:
-                raw = fallback.predict_batch(cout, cin1)
-                predictions = np.where(np.isfinite(raw), raw, 0.0)
-            else:
+            if fallback is None:
                 predictions = np.zeros(n, dtype=np.float64)
-            tiers[:] = int(DegradationTier.GLOBAL_DEFAULT)
-            for row_index in range(n):
-                reasons[row_index] = "no-model-set"
+            else:
+                predictions = fallback.predict_batch(
+                    matrix[:, names.index("COUT")], matrix[:, names.index("CIN1")]
+                )
+            if guardrails:
+                predictions = np.where(np.isfinite(predictions), predictions, 0.0)
+                tiers[:] = int(DegradationTier.GLOBAL_DEFAULT)
+                reasons = dict.fromkeys(range(n), "no-model-set")
             return predictions, tiers, reasons
+        if not guardrails:
+            return (model_set.predict_batch(matrix) if fused is None else fused), tiers, reasons
 
-        if np.isfinite(matrix).all():
-            # Common case: every row is model-servable.  Keep this branch to
-            # scalar checks only — on valid output it returns the model's
-            # batch result unchanged (bit-identical to the ungated path).
+        model_rows = np.arange(n, dtype=np.int64)
+        if servable is not None:
+            for row_index in np.flatnonzero(~servable):
+                reasons[int(row_index)] = "non-finite-features"
+            model_rows = np.flatnonzero(servable)
+        predictions = np.zeros(n, dtype=np.float64)
+        if fused is not None and np.isfinite(fused).all() and (fused >= 0.0).all():
+            if servable is None:
+                return fused, tiers, reasons
+            predictions[model_rows] = fused
+        elif model_rows.size:
+            # No fused output, or an invalid one: the set serves its rows on
+            # its own, and its output decides which rows degrade.
             try:
-                out = np.asarray(model_set.predict_batch(matrix), dtype=np.float64)
+                out = np.asarray(
+                    model_set.predict_batch(matrix if servable is None else matrix[model_rows]),
+                    dtype=np.float64,
+                )
             except (ValueError, ArithmeticError, RuntimeError) as exc:
                 _LOGGER.warning(
                     "model set %s/%s raised during batch prediction; degrading "
                     "%d row(s): %s",
                     family.value,
                     resource,
-                    n,
+                    int(model_rows.size),
                     exc,
                 )
-                predictions = np.zeros(n, dtype=np.float64)
-                for row_index in range(n):
-                    reasons[row_index] = "model-error"
+                for row_index in model_rows:
+                    reasons[int(row_index)] = "model-error"
             else:
-                finite_out = np.isfinite(out)
-                if finite_out.all() and (out >= 0.0).all():
+                invalid = ~np.isfinite(out) | (out < 0.0)
+                if servable is None and not invalid.any():
                     return out, tiers, reasons
-                invalid = ~finite_out | (out < 0.0)
-                predictions = np.where(invalid, 0.0, out)
-                for row_index in np.flatnonzero(invalid):
+                predictions[model_rows[~invalid]] = out[~invalid]
+                for row_index in model_rows[invalid]:
                     reasons[int(row_index)] = "invalid-prediction"
-        else:
-            predictions = np.zeros(n, dtype=np.float64)
-            finite_rows = np.isfinite(matrix).all(axis=1)
-            for row_index in np.flatnonzero(~finite_rows):
-                reasons[int(row_index)] = "non-finite-features"
-            model_rows = np.flatnonzero(finite_rows)
-            if model_rows.size:
-                try:
-                    out = np.asarray(
-                        model_set.predict_batch(matrix[model_rows]), dtype=np.float64
-                    )
-                except (ValueError, ArithmeticError, RuntimeError) as exc:
-                    _LOGGER.warning(
-                        "model set %s/%s raised during batch prediction; degrading "
-                        "%d row(s): %s",
-                        family.value,
-                        resource,
-                        int(model_rows.size),
-                        exc,
-                    )
-                    for row_index in model_rows:
-                        reasons[int(row_index)] = "model-error"
-                else:
-                    invalid = ~np.isfinite(out) | (out < 0.0)
-                    valid = ~invalid
-                    predictions[model_rows[valid]] = out[valid]
-                    for row_index in model_rows[invalid]:
-                        reasons[int(row_index)] = "invalid-prediction"
 
         degraded = np.asarray(sorted(reasons), dtype=np.int64)
         if degraded.size:

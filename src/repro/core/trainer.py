@@ -12,12 +12,17 @@ the lowest error on the training set (the paper notes the default may
 already incorporate scaling).  The result is an :class:`OperatorModelSet`
 which, through the online :class:`~repro.core.model_selection.ModelSelector`
 compiled from it, fully determines how an operator instance is estimated.
+:class:`CompiledModelSets` compiles all model sets of an estimator for
+serving: one stacked selector per family and one fused kernel.
 """
+
+# repro: hot-path — batched estimation code; lint rules R1/R6 apply.
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +38,13 @@ from repro.features.definitions import (
 from repro.ml.flat_ensemble import FusedForest
 from repro.ml.mart import MARTConfig, MARTRegressor
 
-__all__ = ["TrainerConfig", "FamilyTrainingData", "OperatorModelSet", "ScalingModelTrainer"]
+__all__ = [
+    "TrainerConfig",
+    "FamilyTrainingData",
+    "OperatorModelSet",
+    "CompiledModelSets",
+    "ScalingModelTrainer",
+]
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,11 @@ class OperatorModelSet:
     fitting or loading), the kernel on the first prediction.  Both are keyed
     on the identity of the candidates and of their MART ensembles, rebuilt
     whenever ``models`` or ``default_model`` changes, and never serialised
-    or copied (``copy.deepcopy`` and pickling drop them).
+    or copied (``copy.deepcopy`` and pickling drop them).  An estimator
+    serves its sets through :class:`CompiledModelSets` instead, which
+    selects with the same :class:`~repro.core.model_selection.ModelSelector`
+    (stacked over the family's resources) and gives the same values, so the
+    per-set kernel is only built when a set predicts on its own.
     """
 
     family: OperatorFamily
@@ -119,6 +134,11 @@ class OperatorModelSet:
         """Dense ``(n, len(feature_names))`` matrix from feature dictionaries."""
         return self.default_model.feature_matrix(feature_rows)
 
+    @property
+    def candidates(self) -> list[CombinedModel]:
+        """``models`` plus the default (unless it is one of them), in selection order."""
+        return self._compiled_state().selector.candidates
+
     def select_batch(self, matrix: np.ndarray) -> BatchSelection:
         """Vectorised model selection for every row of a raw feature matrix."""
         return self._compiled_state().selector.select_batch(matrix)
@@ -146,6 +166,8 @@ class OperatorModelSet:
 
 
 _ENSEMBLE = attrgetter("model_")
+_INIT = attrgetter("initial_prediction_")
+_RATE = attrgetter("config.learning_rate")
 
 
 def _identity(default_model: CombinedModel, models: list[CombinedModel]) -> tuple[int, ...]:
@@ -156,6 +178,45 @@ def _identity(default_model: CombinedModel, models: list[CombinedModel]) -> tupl
         *map(id, models),
         *map(id, map(_ENSEMBLE, models)),
     )
+
+
+def _fitted(candidates: Sequence[CombinedModel]) -> list[MARTRegressor]:
+    fitted: list[MARTRegressor] = []
+    for model in candidates:
+        if model.model_ is None:
+            raise RuntimeError(f"{model.name} has not been trained")
+        fitted.append(model.model_)
+    return fitted
+
+
+def _current(ensembles: Sequence[MARTRegressor]) -> tuple[np.ndarray, np.ndarray]:
+    """Every ensemble's initial prediction and learning rate, read now.
+
+    Read at call time: fault injection mutates ``initial_prediction_`` of a
+    compiled ensemble in place.
+    """
+    count = len(ensembles)
+    return (
+        np.fromiter(map(_INIT, ensembles), dtype=np.float64, count=count),
+        np.fromiter(map(_RATE, ensembles), dtype=np.float64, count=count),
+    )
+
+
+def _finish(
+    candidates: Sequence[CombinedModel], indices: np.ndarray, raw: np.ndarray, matrix: np.ndarray
+) -> np.ndarray:
+    """Clip and scale each row's raw kernel output as its winner's ``predict_batch`` does."""
+    estimates = np.empty(indices.shape[0], dtype=np.float64)
+    winners = set(indices.tolist())
+    for index in winners:
+        model = candidates[index]
+        rows = indices == index if len(winners) > 1 else slice(None)
+        values = raw[rows]
+        if model.steps:
+            values = np.clip(values, model.scaled_target_low_, model.scaled_target_high_)
+            values = values * model.scale_factors(matrix[rows])
+        estimates[rows] = np.maximum(values, 0.0)
+    return estimates
 
 
 class _CompiledSet:
@@ -173,38 +234,146 @@ class _CompiledSet:
 
     def kernel(self) -> tuple[FusedForest, list[MARTRegressor]]:
         if self._kernel is None:
-            fitted: list[MARTRegressor] = []
-            for model, ensemble in zip(self.selector.candidates, self.ensembles):
-                if ensemble is None:
-                    raise RuntimeError(f"{model.name} has not been trained")
-                fitted.append(ensemble)
+            fitted = _fitted(self.selector.candidates)
             self._kernel = (FusedForest([m.flat_forest() for m in fitted]), fitted)
         return self._kernel
 
     def predict(self, matrix: np.ndarray, selection: BatchSelection) -> np.ndarray:
-        n = matrix.shape[0]
-        if n == 0:
+        if matrix.shape[0] == 0:
             return np.zeros(0, dtype=np.float64)
         if selection.candidates is not self.selector.candidates:
             raise RuntimeError("model set changed between selection and prediction")
         kernel, ensembles = self.kernel()
-        # Read at call time: fault injection mutates ``initial_prediction_``
-        # of a compiled ensemble in place.
-        init = np.asarray([m.initial_prediction_ for m in ensembles], dtype=np.float64)
-        rate = np.asarray([m.config.learning_rate for m in ensembles], dtype=np.float64)
-        indices = selection.indices
-        raw = kernel.predict(selection.inputs, indices, init, rate)
-        estimates = np.empty(n, dtype=np.float64)
-        winners = np.unique(indices)
-        for index in winners:
-            model = self.selector.candidates[int(index)]
-            rows = indices == index if winners.shape[0] > 1 else slice(None)
-            values = raw[rows]
-            if model.steps:
-                values = np.clip(values, model.scaled_target_low_, model.scaled_target_high_)
-                values = values * model.scale_factors(matrix[rows])
-            estimates[rows] = np.maximum(values, 0.0)
-        return estimates
+        init, rate = _current(ensembles)
+        raw = kernel.predict(selection.inputs, selection.indices, init, rate)
+        return _finish(self.selector.candidates, selection.indices, raw, matrix)
+
+
+ModelSetKey = tuple[OperatorFamily, str]
+
+
+def model_sets_identity(model_sets: Mapping[ModelSetKey, object]) -> tuple[object, ...]:
+    """Object identities :class:`CompiledModelSets` of ``model_sets`` depends on."""
+    identity: list[object] = []
+    for key, model_set in model_sets.items():
+        identity += (key, id(model_set))
+        if isinstance(model_set, OperatorModelSet):
+            identity += _identity(model_set.default_model, model_set.models)
+    return tuple(identity)
+
+
+class _FamilyPlan:
+    """One family's stacked selector over the requested resources."""
+
+    __slots__ = ("keys", "selector", "base")
+
+    def __init__(self, sets: dict[ModelSetKey, OperatorModelSet], base: np.ndarray) -> None:
+        self.keys = list(sets)
+        self.selector = ModelSelector.stacked(
+            [(model_set.default_model, model_set.models) for model_set in sets.values()]
+        )
+        #: Kernel member index of each resource's first candidate.
+        self.base = base
+
+
+class CompiledModelSets:
+    """Every model set of an estimator behind per-family selectors and one kernel.
+
+    The model sets of each family share the family's raw feature order, so
+    one :meth:`ModelSelector.stacked <repro.core.model_selection.ModelSelector.stacked>`
+    selector per (family, requested resources) picks the winners of every
+    resource in one pass, and one
+    :class:`~repro.ml.flat_ensemble.FusedForest` over every candidate of
+    every set evaluates all of them in one kernel call: a row's member is
+    its set's base offset plus its winner.  Each (family, resource) is then
+    clipped and scaled as :meth:`OperatorModelSet.predict_batch` does, so
+    its values equal that method's bitwise.
+
+    Only trained :class:`OperatorModelSet` entries over their family's
+    canonical feature order are compiled; any other entry is left to its own
+    ``predict_batch``.  The state is derived: :attr:`identity` is compared
+    against :func:`model_sets_identity` by the owner, and the state holds
+    every set it was built from, so those identities stay unique while it
+    lives.
+    """
+
+    def __init__(self, model_sets: Mapping[ModelSetKey, object]) -> None:
+        self.identity = model_sets_identity(model_sets)
+        self._served: dict[ModelSetKey, OperatorModelSet] = {}
+        self._base: dict[ModelSetKey, int] = {}
+        members: list[CombinedModel] = []
+        for key, model_set in model_sets.items():
+            if (
+                isinstance(model_set, OperatorModelSet)
+                and model_set.feature_names == features_for_family(key[0])
+                and all(model.model_ is not None for model in model_set.candidates)
+            ):
+                self._served[key] = model_set
+                self._base[key] = len(members)
+                members += model_set.candidates
+        # Holding every set, candidate and ensemble keeps the ids in
+        # ``identity`` from being reused while this state is alive.
+        self._held = (dict(model_sets), members)
+        self._ensembles = _fitted(members)
+        self._kernel = FusedForest([m.flat_forest() for m in self._ensembles])
+        # Built on first use per requested resource tuple; two threads may
+        # both build one, and either result is the same.
+        self._plans: dict[tuple[OperatorFamily, tuple[str, ...]], _FamilyPlan | None] = {}
+
+    def _plan(self, family: OperatorFamily, resources: tuple[str, ...]) -> _FamilyPlan | None:
+        key = (family, resources)
+        if key not in self._plans:
+            sets = {
+                (family, resource): self._served[(family, resource)]
+                for resource in resources
+                if (family, resource) in self._served
+            }
+            base = np.asarray([self._base[k] for k in sets], dtype=np.intp)
+            self._plans[key] = _FamilyPlan(sets, base) if sets else None
+        return self._plans[key]
+
+    def predict(
+        self, matrices: Mapping[OperatorFamily, np.ndarray], resources: Sequence[str]
+    ) -> dict[ModelSetKey, np.ndarray]:
+        """Estimates of every compiled (family, resource) over its family's rows.
+
+        One selection call per family, one kernel call in total.  Keys
+        without a compiled model set are absent from the result.
+        """
+        resources = tuple(resources)
+        blocks = []
+        n_cells = width = 0
+        for family, matrix in matrices.items():
+            plan = self._plan(family, resources)
+            if plan is None or not matrix.shape[0]:
+                continue
+            indices, inputs = plan.selector.select_stacked(matrix)
+            blocks.append((plan, matrix, indices, inputs))
+            n_cells += indices.size
+            width = max(width, inputs.shape[2])
+        if not blocks:
+            return {}
+        features = np.zeros((n_cells, width), dtype=np.float64)
+        member = np.empty(n_cells, dtype=np.intp)
+        start = 0
+        for plan, _, indices, inputs in blocks:
+            stop = start + indices.size
+            features[start:stop, : inputs.shape[2]] = inputs.reshape(indices.size, inputs.shape[2])
+            member[start:stop] = (indices + plan.base).ravel()
+            start = stop
+        init, rate = _current(self._ensembles)
+        raw = self._kernel.predict(features, member, init, rate)
+        out: dict[ModelSetKey, np.ndarray] = {}
+        start = 0
+        for plan, matrix, indices, _ in blocks:
+            stop = start + indices.size
+            family_raw = raw[start:stop].reshape(indices.shape)
+            for r, key in enumerate(plan.keys):
+                out[key] = _finish(
+                    plan.selector.candidate_lists[r], indices[:, r], family_raw[:, r], matrix
+                )
+            start = stop
+        return out
 
 
 class ScalingModelTrainer:

@@ -10,11 +10,15 @@ and TPC-DS sample workloads and both resources.
 from __future__ import annotations
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selection_oracle
+from repro.api import EstimationService
 from repro.core import ResourceEstimator
 from repro.core.combined_model import CombinedModel
 from repro.core.estimator import _FallbackModel, _family_matrix
@@ -354,33 +358,159 @@ class TestCompiledState:
         assert not report.passed
         assert run_canary_checks(trained_estimator).passed
 
+    @pytest.fixture(scope="class")
+    def loaded(self, trained_estimator, tmp_path_factory):
+        """The estimator through every artifact version, plus a v3 mmap load."""
+        directory = tmp_path_factory.mktemp("versions")
+        loaded = {}
+        for version in (1, 2, 3):
+            path = save_estimator(trained_estimator, directory / f"v{version}.bin", version=version)
+            loaded[f"v{version}"] = load_estimator(path)
+        loaded["v3-mmap"] = load_estimator(directory / "v3.bin", mmap=True)
+        return loaded
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 1_000), min_size=1, max_size=5),
+        resources=st.sampled_from([("cpu",), ("io",), ("cpu", "io")]),
+        scale=st.sampled_from([1.0, 1e3, 1e-3, 1e300]),
+    )
     def test_every_artifact_version_and_mmap_selects_the_same(
-        self, trained_estimator, workload_split, tmp_path
+        self, trained_estimator, workload_split, loaded, picks, resources, scale
     ):
         _, test = workload_split
-        loaded = [trained_estimator]
-        for version in (1, 2, 3):
-            path = save_estimator(trained_estimator, tmp_path / f"v{version}.bin", version=version)
-            loaded.append(load_estimator(path))
-        loaded.append(load_estimator(tmp_path / "v3.bin", mmap=True))
-        features = [trained_estimator.extract_plan_features(q.plan) for q in test]
+        plans = [test[pick % len(test)].plan for pick in picks]
+        features = [trained_estimator.extract_plan_features(plan) for plan in plans]
+        features = [
+            {
+                node: type(op)(family=op.family, values={
+                    name: value * scale for name, value in op.values.items()
+                })
+                for node, op in plan_features.items()
+            }
+            for plan_features in features
+        ]
+        with np.errstate(all="ignore"):
+            self._check_loads(trained_estimator, loaded, plans, features, resources)
+
+    @staticmethod
+    def _check_loads(trained_estimator, loaded, plans, features, resources):
+        # v1 artifacts carry no fallback ladder, so whole estimates are
+        # compared for the v3 loads; every version selects and predicts alike.
+        expected = trained_estimator.estimate_extracted_workload(
+            plans, features, resources, ood_threshold=0.5
+        )
+        for estimator in (loaded["v3"], loaded["v3-mmap"]):
+            actual = estimator.estimate_extracted_workload(
+                plans, features, resources, ood_threshold=0.5
+            )
+            for resource in resources:
+                assert actual.values[resource].tobytes() == expected.values[resource].tobytes()
+            assert actual.degradation == expected.degradation
         for family in {op.family for plan in features for op in plan.values()}:
             rows = [op.values for plan in features for op in plan.values() if op.family == family]
             matrix = _family_matrix(family, rows)
-            matrix = np.concatenate([matrix, matrix * 1e3, matrix * 1e-3])
-            for resource in RESOURCES:
+            for resource in resources:
                 if (family, resource) not in trained_estimator.model_sets:
                     continue
                 reference = trained_estimator.model_sets[(family, resource)]
-                expected = reference.select_batch(matrix)
-                expected_values = reference.predict_batch(matrix)
-                for estimator in loaded[1:]:
+                selection = reference.select_batch(matrix)
+                values = reference.predict_batch(matrix)
+                for estimator in loaded.values():
                     model_set = estimator.model_sets[(family, resource)]
-                    selection = model_set.select_batch(matrix)
-                    assert np.array_equal(selection.indices, expected.indices)
-                    assert selection.max_out_ratios.tobytes() == expected.max_out_ratios.tobytes()
-                    assert np.array_equal(selection.used_default, expected.used_default)
-                    assert model_set.predict_batch(matrix).tobytes() == expected_values.tobytes()
+                    actual = model_set.select_batch(matrix)
+                    assert np.array_equal(actual.indices, selection.indices)
+                    assert actual.max_out_ratios.tobytes() == selection.max_out_ratios.tobytes()
+                    assert np.array_equal(actual.used_default, selection.used_default)
+                    assert model_set.predict_batch(matrix).tobytes() == values.tobytes()
+
+    # -- the estimator's compiled state (per-family selectors + one kernel) --------------------
+
+    @staticmethod
+    def _workload(workload_split):
+        _, test = workload_split
+        return [query.plan for query in test[:8]]
+
+    @staticmethod
+    def _values(estimator, plans) -> list[bytes]:
+        estimate = estimator.estimate_workload(plans, RESOURCES)
+        return [estimate.values[resource].tobytes() for resource in RESOURCES]
+
+    def test_poison_model_on_a_deep_copy_rebuilds_the_compiled_state(
+        self, trained_estimator, workload_split
+    ):
+        plans = self._workload(workload_split)
+        before = self._values(trained_estimator, plans)
+        compiled = trained_estimator._compiled
+        assert compiled is not None
+        extracted = [trained_estimator.extract_plan_features(plan) for plan in plans]
+        family = next(iter(extracted[0].values())).family
+        poisoned = FaultInjector(seed=2).poison_model(trained_estimator, family, "cpu", "nan")
+        assert poisoned._compiled is None  # dropped by the deep copy
+        estimate = poisoned.estimate_workload(plans, RESOURCES)
+        assert poisoned._compiled is not None and poisoned._compiled is not compiled
+        degraded = {(e.node_id, e.resource) for e in estimate.degradation.entries}
+        assert any(resource == "cpu" for _, resource in degraded)
+        assert all(resource == "cpu" for _, resource in degraded)
+        # The original keeps its compiled state and its numbers.
+        assert self._values(trained_estimator, plans) == before
+        assert trained_estimator._compiled is compiled
+
+    def test_in_place_fit_rebuilds_the_compiled_state(
+        self, trained_estimator, workload_split, tiny_trainer_config
+    ):
+        train, _ = workload_split
+        plans = self._workload(workload_split)
+        estimator = copy.deepcopy(trained_estimator)
+        self._values(estimator, plans)
+        compiled = estimator._compiled
+        corpus = build_training_data(train[: len(train) // 2], FeatureMode.EXACT)
+        estimator.fit(corpus)
+        refit = self._values(estimator, plans)
+        assert estimator._compiled is not compiled
+        fresh = ResourceEstimator.train(
+            corpus, FeatureMode.EXACT, resources=RESOURCES, config=tiny_trainer_config
+        )
+        assert refit == self._values(fresh, plans)
+        assert refit != self._values(trained_estimator, plans)
+
+    def test_swap_artifact_rebuilds_the_compiled_state(
+        self, trained_estimator, workload_split, tiny_trainer_config, tmp_path
+    ):
+        train, _ = workload_split
+        plans = self._workload(workload_split)
+        service = EstimationService(copy.deepcopy(trained_estimator))
+        service.estimate_workload(plans, RESOURCES)
+        incumbent = service.estimator
+        assert incumbent._compiled is not None
+        candidate = ResourceEstimator.train(
+            build_training_data(train[: len(train) // 2], FeatureMode.EXACT),
+            FeatureMode.EXACT,
+            resources=RESOURCES,
+            config=tiny_trainer_config,
+        )
+        path = save_estimator(candidate, tmp_path / "candidate.bin")
+        assert service.swap_artifact(path) is incumbent
+        served = service.estimate_workload(plans, RESOURCES)
+        assert service.estimator._compiled is not incumbent._compiled
+        expected = load_estimator(path).estimate_workload(plans, RESOURCES)
+        for resource in RESOURCES:
+            assert served.values[resource].tobytes() == expected.values[resource].tobytes()
+
+    def test_pickling_drops_the_compiled_state(self, trained_estimator, workload_split):
+        plans = self._workload(workload_split)
+        before = self._values(trained_estimator, plans)
+        assert trained_estimator._compiled is not None
+        # The state pickle would write (the scaling functions themselves are
+        # not picklable; artifacts go through the codec).
+        state = trained_estimator.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        assert state["_compiled"] is None
+        assert state["model_sets"] is trained_estimator.model_sets
+        assert trained_estimator._compiled is not None
+        clone = copy.copy(trained_estimator)
+        clone.__dict__.update(state)
+        assert self._values(clone, plans) == before
+        assert clone._compiled is not trained_estimator._compiled
 
 
 class TestFallbackModel:

@@ -21,6 +21,17 @@ overflowing to ``inf``, NaN or exact ties:
   selections;
 * ``predict_batch`` equals each winner's own ``CombinedModel.predict_batch``
   on the rows it won.
+
+The estimator serves every model set through one stacked selector per
+family and one fused kernel per request.  Two properties pin that path:
+
+* its per-operator values equal ``OperatorModelSet.predict_batch`` of each
+  (family, resource), bitwise, for every resource subset and for rows with
+  NaN, +-inf and 1e300 features;
+* the degradation ladder only ever degrades a row: under corrupted features
+  and a poisoned (family, resource), clean rows stay at ``MODEL`` and equal
+  ``guardrails=False``, no row with a non-finite feature is served at
+  ``MODEL``, and the report equals the one the per-set guarded path builds.
 """
 
 from __future__ import annotations
@@ -36,18 +47,20 @@ from hypothesis import strategies as st
 
 import selection_oracle
 from repro.core.combined_model import CombinedModel
-from repro.core.estimator import WorkloadEstimate
+from repro.core.estimator import WorkloadEstimate, _family_matrix
+from repro.core.trainer import CompiledModelSets
 from repro.core.scaled_model import ScalingStep
 from repro.core.scaling import SCALING_FUNCTIONS
 from repro.core.trainer import OperatorModelSet
-from repro.features.definitions import OperatorFamily
+from repro.features.definitions import OperatorFamily, features_for_family
 from repro.ml.mart import MARTConfig
 from repro.robustness import FaultInjector
-from repro.robustness.degradation import DegradationReport
+from repro.robustness.degradation import DegradationReport, DegradationTier
 from repro.workloads.tpcds import build_tpcds_workload
 
 #: Plans in the pool: 5 TPC-H, 5 TPC-DS, then one poisoned copy of each kind.
 POOL_SIZE = 12
+N_CLEAN = 10
 OOD_THRESHOLD = 0.5
 
 plan_indices = st.lists(st.integers(0, POOL_SIZE - 1), min_size=1, max_size=6)
@@ -268,3 +281,170 @@ def test_model_set_predict_equals_per_winner_predict(selection_case, specs, defa
             won = selection.indices == index
             expected = selection.candidates[index].predict_batch(matrix[won])
             assert estimates[won].tobytes() == expected.tobytes()
+
+
+# -- the fused per-request path --------------------------------------------------------------------
+
+#: Multipliers of the scaled rows: in range, far out of range, overflowing
+#: and non-finite.
+ROW_SCALES = (1.0, 1e-3, 1e3, 1e300, math.inf, -math.inf, math.nan)
+
+scaled_ops = st.lists(
+    st.tuples(st.integers(0, 10_000), st.sampled_from(ROW_SCALES)), max_size=8
+)
+
+
+def _scaled(extracted, specs):
+    """Copies of ``extracted`` with one feature of some operators scaled."""
+    plans = [dict(features) for features in extracted]
+    slots = [(p, node) for p, features in enumerate(plans) for node in features]
+    for pick, scale in specs:
+        p, node = slots[pick % len(slots)]
+        op = plans[p][node]
+        names = sorted(op.values)
+        name = names[pick % len(names)]
+        values = dict(op.values)
+        with np.errstate(all="ignore"):
+            values[name] = float(np.float64(values[name]) * scale) + 0.0
+        plans[p][node] = replace(op, values=values)
+    return plans
+
+
+def _family_rows(extracted):
+    """Per family: the estimate's row indices and the family matrix."""
+    positions, rows = {}, {}
+    row = 0
+    for features in extracted:
+        for op in features.values():
+            positions.setdefault(op.family, []).append(row)
+            rows.setdefault(op.family, []).append(op.values)
+            row += 1
+    return {
+        family: (np.asarray(positions[family]), _family_matrix(family, rows[family]))
+        for family in positions
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(indices=plan_indices, resources=resource_sets, specs=scaled_ops)
+def test_fused_values_equal_model_set_predict_batch(
+    trained_estimator, pool, indices, resources, specs
+):
+    plans = [pool[i][0] for i in indices]
+    extracted = _scaled([pool[i][1] for i in indices], specs)
+    with np.errstate(all="ignore"):
+        bare = trained_estimator.estimate_extracted_workload(
+            plans, extracted, resources, guardrails=False
+        )
+        guarded = trained_estimator.estimate_extracted_workload(plans, extracted, resources)
+        served = {(e.plan_index, e.node_id, e.resource) for e in guarded.degradation.entries}
+        plan_of_row = np.repeat(np.arange(len(plans)), np.diff(bare.offsets))
+        for family, (rows, matrix) in _family_rows(extracted).items():
+            for resource in resources:
+                model_set = trained_estimator.model_sets.get((family, resource))
+                if model_set is None:
+                    continue
+                expected = model_set.predict_batch(matrix)
+                assert bare.values[resource][rows].tobytes() == expected.tobytes()
+                for position, row in enumerate(rows):
+                    key = (int(plan_of_row[row]), int(bare.node_ids[row]), resource)
+                    if key not in served:
+                        assert guarded.values[resource][row] == expected[position]
+    if all(scale == 1.0 for _, scale in specs) and max(indices) < N_CLEAN:
+        direct = trained_estimator.estimate_workload(plans, resources, guardrails=False)
+        for resource in resources:
+            assert direct.values[resource].tobytes() == bare.values[resource].tobytes()
+
+
+@pytest.fixture(scope="module")
+def poisoned_estimators(trained_estimator):
+    """``poison_model`` results for any (family, resource) and mode.
+
+    ``poison_model`` deep-copies the estimator, which is slow; the broken
+    set it installs is stateless, so one copy per mode supplies the shim
+    and each (family, resource) gets a shallow copy with it swapped in.
+    """
+    first = min(trained_estimator.model_sets, key=lambda k: (k[0].value, k[1]))
+    shims = {
+        mode: FaultInjector(seed=0)
+        .poison_model(trained_estimator, first[0], first[1], mode=mode)
+        .model_sets[first]
+        for mode in ("raise", "nan", "negative")
+    }
+    cache = {}
+
+    def get(key, mode):
+        if (key, mode) not in cache:
+            model_sets = {**trained_estimator.model_sets, key: shims[mode]}
+            cache[(key, mode)] = replace(trained_estimator, model_sets=model_sets)
+        return cache[(key, mode)]
+
+    return get
+
+
+def _per_set_estimate(estimator, plans, extracted, resources):
+    """The estimate when the fused pass raises: every set serves itself."""
+
+    def refuse(self, matrices, resources):
+        raise RuntimeError("fused pass disabled")
+
+    original = CompiledModelSets.predict
+    CompiledModelSets.predict = refuse
+    try:
+        return estimator.estimate_extracted_workload(plans, extracted, resources)
+    finally:
+        CompiledModelSets.predict = original
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    indices=st.lists(st.integers(0, N_CLEAN - 1), min_size=1, max_size=5),
+    resources=resource_sets,
+    seed=st.integers(0, 2**16),
+    rate=st.sampled_from([0.0, 0.1, 0.5]),
+    kind=st.sampled_from(["nan", "inf"]),
+    poison=st.integers(0, 10_000),
+    mode=st.sampled_from(["raise", "nan", "negative"]),
+)
+def test_ladder_only_degrades(
+    trained_estimator, pool, poisoned_estimators, indices, resources, seed, rate, kind,
+    poison, mode,
+):
+    plans = [pool[i][0] for i in indices]
+    clean = [pool[i][1] for i in indices]
+    extracted = FaultInjector(seed=seed).corrupt_features(clean, rate=rate, kind=kind)
+    keys = sorted(trained_estimator.model_sets, key=lambda k: (k[0].value, k[1]))
+    key = keys[poison % len(keys)]
+    poisoned = poisoned_estimators(key, mode)
+
+    with np.errstate(all="ignore"):
+        guarded = poisoned.estimate_extracted_workload(plans, extracted, resources)
+        bare = trained_estimator.estimate_extracted_workload(
+            plans, extracted, resources, guardrails=False
+        )
+        per_set = _per_set_estimate(poisoned, plans, extracted, resources)
+    report = guarded.degradation
+    assert all(entry.tier > DegradationTier.MODEL for entry in report.entries)
+    degraded = {(e.plan_index, e.node_id, e.resource) for e in report.entries}
+    for p, features in enumerate(extracted):
+        for position, (node_id, op) in enumerate(features.items()):
+            names = features_for_family(op.family)
+            finite = all(math.isfinite(op.values.get(name, 0.0)) for name in names)
+            for resource in resources:
+                served_by_model = (p, node_id, resource) not in degraded
+                if not finite:
+                    assert not served_by_model
+                    continue
+                row = int(guarded.offsets[p]) + position
+                reference = bare.values[resource][row]
+                if (
+                    (op.family, resource) != key
+                    and (op.family, resource) in trained_estimator.model_sets
+                    and math.isfinite(reference)
+                    and reference >= 0.0
+                ):
+                    assert served_by_model
+                    assert guarded.values[resource][row].tobytes() == reference.tobytes()
+    assert per_set.degradation == report
+    for resource in resources:
+        assert per_set.values[resource].tobytes() == guarded.values[resource].tobytes()

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import EstimationService
+from repro.core.trainer import CompiledModelSets
 from repro.core.serialization import EstimatorCodecError, save_estimator
 from repro.features.definitions import FeatureMode
 from repro.features.extractor import OperatorFeatures
@@ -117,6 +118,38 @@ class TestDegradationLadder:
         assert {e.reason for e in degraded} == {reason}
         totals = estimate.query_totals(resource)
         assert np.isfinite(totals).all() and (totals >= 0.0).all()
+
+    def test_invalid_fused_output_degrades_like_the_per_set_path(
+        self, trained_estimator, plans, extracted, monkeypatch
+    ):
+        """A compiled set whose ensembles predict NaN is re-served on its own
+        path: its rows degrade, every other row keeps its fused value."""
+        family, resource = _poisonable_key(trained_estimator, extracted)
+        poisoned = copy.deepcopy(trained_estimator)
+        for model in poisoned.model_sets[(family, resource)].models:
+            model.model_.initial_prediction_ = float("nan")
+        clean = trained_estimator.estimate_extracted_workload(plans, extracted)
+        estimate = poisoned.estimate_extracted_workload(plans, extracted)
+        degraded = _degraded(estimate.degradation)
+        assert degraded
+        assert {(e.resource, e.tier, e.reason) for e in degraded} == {
+            (resource, DegradationTier.SCALING, "invalid-prediction")
+        }
+        rows = {(e.plan_index, e.node_id) for e in degraded}
+        for other in trained_estimator.resources:
+            for plan_index in range(len(plans)):
+                for node_id, value in estimate.operators(plan_index, other).items():
+                    if other != resource or (plan_index, node_id) not in rows:
+                        assert value == clean.operators(plan_index, other)[node_id]
+
+        def refuse(self, matrices, resources):
+            raise RuntimeError("fused pass disabled")
+
+        monkeypatch.setattr(CompiledModelSets, "predict", refuse)
+        per_set = poisoned.estimate_extracted_workload(plans, extracted)
+        assert per_set.degradation == estimate.degradation
+        for other in trained_estimator.resources:
+            assert per_set.values[other].tobytes() == estimate.values[other].tobytes()
 
     def test_family_rate_tier_without_scaling_fallback(
         self, trained_estimator, plans, extracted, injector
