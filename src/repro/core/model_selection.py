@@ -37,8 +37,8 @@ selection, so prediction (a fused kernel, see
 :mod:`repro.core.trainer`) never re-transforms the matrix.  An
 :class:`~repro.core.trainer.OperatorModelSet` is the ``R = 1`` case.  The
 tables are derived state, a few KB per family, never serialised; the
-``(n, R, C, K)`` temporaries are bounded by row blocks of the flat kernel's
-cell budget.
+``(n, R, C, K)`` temporaries are bounded by row blocks of
+:data:`_CELL_BUDGET` cells.
 """
 
 # repro: hot-path — batched estimation code; lint rules R1/R6 apply.
@@ -51,9 +51,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.combined_model import CombinedModel, StackedTransform
-from repro.ml.flat_ensemble import _CELL_BUDGET
 
 __all__ = ["ModelSelector", "BatchSelection"]
+
+#: Cells per ``(rows x R x C x K)`` temporary of one row block (512 KB of
+#: float64), small enough to stay cache-resident on large batches.
+_CELL_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)

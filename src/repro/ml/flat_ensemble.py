@@ -78,6 +78,11 @@ _MAX_HEAP_DEPTH = 12
 #: the descent working set cache-resident for very large row batches.
 _CELL_BUDGET = 1 << 21
 
+#: Cursor cells per row block of :class:`FusedForest`: its node table spans
+#: every member, so smaller blocks than :data:`_CELL_BUDGET` keep the cursor
+#: buffers cache-resident.
+_FUSED_BUDGET = 1 << 15
+
 #: ``(leaf feature id, slope, intercept)`` of one leaf's linear refinement.
 LeafModel = tuple[int, float, float]
 
@@ -672,8 +677,9 @@ class FusedForest:
     member) and every row is evaluated against its *own* member only: the
     row's cursors start at that member's tree roots.  Leaves loop to
     themselves (feature 0, threshold ``+inf``, both children the leaf), so
-    one fixed number of levels — the deepest tree of the members a call
-    uses — lands every cursor on a leaf.  Members with fewer trees than the
+    routing a row for its member's depth lands every cursor on a leaf; rows
+    are routed deepest member first, each level only the prefix of rows
+    still descending.  Members with fewer trees than the
     widest one pad their cursors with a zero-valued dummy leaf; each row
     reads its own member's last running-sum column, so the padding never
     enters a result.
@@ -745,51 +751,67 @@ class FusedForest:
         """
         matrix = np.ascontiguousarray(features, dtype=np.float64)
         n_rows, width = matrix.shape
+        # Rows are evaluated deepest member first (then by member), so each
+        # level routes only the prefix of rows whose member still has trees
+        # that deep; results are scattered back to input order at the end.
         member = np.asarray(member, dtype=np.intp)
+        order = np.argsort(member - self.depth[member] * self.depth.shape[0], kind="stable")
+        member = member[order]
         n_trees = self.n_trees[member]
         n_cols = int(n_trees.max()) if n_rows else 0
         contrib = np.empty((n_rows, n_cols + 1), dtype=np.float64)
         contrib[:, 0] = init[member]
         if n_rows and n_cols:
-            depth = int(self.depth[member].max())
+            depth = self.depth[member]
             flat = matrix.ravel()
-            block = max(int(_CELL_BUDGET // n_cols), 16)
+            block = max(int(_FUSED_BUDGET // n_cols), 16)
             for start in range(0, n_rows, block):
                 stop = min(start + block, n_rows)
                 contrib[start:stop, 1:] = self._route(
-                    flat, member[start:stop], start * width, width, n_cols, depth
+                    flat, member[start:stop], order[start:stop] * width, depth[start:stop], n_cols
                 )
         contrib[:, 1:] *= rate[member].reshape(-1, 1)
         np.cumsum(contrib, axis=1, out=contrib)
-        return contrib[np.arange(n_rows, dtype=np.intp), n_trees]
+        out = np.empty(n_rows, dtype=np.float64)
+        out[order] = contrib[np.arange(n_rows, dtype=np.intp), n_trees]
+        return out
 
     def _route(
         self,
         flat: np.ndarray,
         member: np.ndarray,
-        offset: int,
-        width: int,
+        row_base: np.ndarray,
+        depth: np.ndarray,
         n_cols: int,
-        depth: int,
     ) -> np.ndarray:
-        """Leaf value of every (row, tree) cursor of one row block."""
-        cells = (member.shape[0], n_cols)
+        """Leaf value of every (row, tree) cursor of rows in descending depth."""
+        n_rows = member.shape[0]
+        cells = (n_rows, n_cols)
         pos = self.roots[member, :n_cols]
         nxt = np.empty(cells, dtype=np.intp)
-        row_base = (offset + width * np.arange(member.shape[0], dtype=np.intp)).reshape(-1, 1)
+        row_base = row_base.reshape(-1, 1)
         gather_index = np.empty(cells, dtype=np.intp)
         feature_value = np.empty(cells, dtype=np.float64)
         threshold = np.empty(cells, dtype=np.float64)
         go_left = np.empty(cells, dtype=np.bool_)
-        for _ in range(depth):
-            self.feature.take(pos, out=gather_index, mode="clip")
-            gather_index += row_base
-            flat.take(gather_index, out=feature_value, mode="clip")
-            self.threshold.take(pos, out=threshold, mode="clip")
-            np.less_equal(feature_value, threshold, out=go_left)
-            np.left_shift(pos, 1, out=pos)
-            np.add(pos, go_left, out=pos, casting="unsafe")
-            self.children.take(pos, out=nxt, mode="clip")
+        # Rows deeper than each level; the rest already sit on their leaves.
+        active = n_rows - np.cumsum(np.bincount(depth))
+        routed = n_rows
+        for rows in active[:-1].tolist():
+            if rows < routed:
+                # Finished rows keep their leaf in both cursor buffers.
+                nxt[rows:routed] = pos[rows:routed]
+                routed = rows
+            cursor, index = pos[:rows], gather_index[:rows]
+            value, bound, left = feature_value[:rows], threshold[:rows], go_left[:rows]
+            self.feature.take(cursor, out=index, mode="clip")
+            index += row_base[:rows]
+            flat.take(index, out=value, mode="clip")
+            self.threshold.take(cursor, out=bound, mode="clip")
+            np.less_equal(value, bound, out=left)
+            np.left_shift(cursor, 1, out=cursor)
+            np.add(cursor, left, out=cursor, casting="unsafe")
+            self.children.take(cursor, out=nxt[:rows], mode="clip")
             pos, nxt = nxt, pos
         leaf = np.empty(cells, dtype=np.float64)
         self.value.take(pos, out=leaf, mode="clip")
