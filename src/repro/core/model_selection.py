@@ -38,7 +38,7 @@ selection, so prediction (a fused kernel, see
 :class:`~repro.core.trainer.OperatorModelSet` is the ``R = 1`` case.  The
 tables are derived state, a few KB per family, never serialised; the
 ``(n, R, C, K)`` temporaries are bounded by row blocks of
-:data:`_CELL_BUDGET` cells.
+:data:`_SELECT_BUDGET` cells.
 """
 
 # repro: hot-path — batched estimation code; lint rules R1/R6 apply.
@@ -56,7 +56,7 @@ __all__ = ["ModelSelector", "BatchSelection"]
 
 #: Cells per ``(rows x R x C x K)`` temporary of one row block (512 KB of
 #: float64), small enough to stay cache-resident on large batches.
-_CELL_BUDGET = 1 << 16
+_SELECT_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,12 +164,12 @@ class ModelSelector:
     # -- selection ------------------------------------------------------------------------------
     def select_batch(self, matrix: np.ndarray) -> BatchSelection:
         """Choose a model of the first list for every row of a raw feature matrix."""
-        indices, max_ratios, used_default, inputs = self._select(matrix)
+        indices, max_ratios, in_range, inputs = self._select(matrix)
         return BatchSelection(
             candidates=self.candidates,
             indices=indices[:, 0],
             max_out_ratios=max_ratios[:, 0],
-            used_default=used_default[:, 0],
+            used_default=in_range[:, 0] | (indices[:, 0] == self.default_indices[0]),
             inputs=inputs[:, 0],
         )
 
@@ -187,15 +187,14 @@ class ModelSelector:
             )
         n = matrix.shape[0]
         cells = self._lows.shape[0] * max(self._lows.shape[1], self._N_KEYS)
-        block = max(int(_CELL_BUDGET // cells), 16)
+        block = max(int(_SELECT_BUDGET // cells), 16)
         if n <= block:
-            indices, max_ratios, in_range, inputs = self._select_block(matrix)
-        else:
-            parts = [self._select_block(matrix[start : start + block]) for start in range(0, n, block)]
-            indices, max_ratios, in_range, inputs = (
-                np.concatenate([part[i] for part in parts]) for i in range(4)
-            )
-        return indices, max_ratios, in_range | (indices == self.default_indices), inputs
+            return self._select_block(matrix)
+        parts = [self._select_block(matrix[start : start + block]) for start in range(0, n, block)]
+        indices, max_ratios, in_range, inputs = (
+            np.concatenate([part[i] for part in parts]) for i in range(4)
+        )
+        return indices, max_ratios, in_range, inputs
 
     def _select_block(
         self, matrix: np.ndarray

@@ -28,10 +28,12 @@ over active row cursors on the SoA arrays.
 
 :class:`FusedForest` is the serving-side counterpart for model selection:
 it concatenates the SoA arrays of several ensembles (every candidate of one
-operator model set) and runs each row against only the trees of its own
-member with a plain node-chasing loop — one kernel call per model set
-instead of one per selected candidate.  The heap tables above stay the path
-for single-ensemble callers (``MARTRegressor.predict``, the baselines).
+operator model set, or of every model set of an estimator) and runs each
+row against only the trees of its own member with a plain node-chasing
+loop, deepest members first so each level routes only the rows still
+descending — one kernel call per request instead of one per selected
+candidate.  The heap tables above stay the path for single-ensemble callers
+(``MARTRegressor.predict``, the baselines).
 
 Numerical identity
 ------------------
